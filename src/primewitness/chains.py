@@ -15,7 +15,6 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from .graphs import Graph, bits, mask_of
-from .homogeneous import is_prime
 
 
 def chain_length(seq: Sequence[int]) -> int:
@@ -189,11 +188,3 @@ def trim_chain_to_prime(g: Graph, seq: Sequence[int]) -> tuple[int, ...]:
         if ok and chain_induces_prime(g, cand):
             return cand
     raise AssertionError("no prime trim exists; this contradicts the trim guarantee")
-
-
-def assert_criterion_matches_primality(g: Graph, seq: Sequence[int]) -> bool:
-    """Cross-check: criterion verdict equals primality of the induced subgraph."""
-    from .graphs import induced_subgraph
-
-    sub, _ = induced_subgraph(g, seq)
-    return chain_induces_prime(g, seq) == is_prime(sub)

@@ -63,28 +63,35 @@ def cmd_prime(args) -> int:
     return status
 
 
-def _witness_payload(text: str, n: int) -> dict:
+_RESULT_KINDS = ((Witness, "witness"), (ChainWitness, "chain"), (InsufficientSize, "insufficient"))
+
+
+def _witness_payload(text: str, n: int) -> tuple[str, dict]:
+    """``unavoidable_witness`` on one graph6 line, as (kind, JSON payload)."""
     g = parse_graph6(text)
     try:
         result = extraction.unavoidable_witness(g, n)
     except NotPrimeError as e:
-        return {"nonprime": sorted(e.homogeneous_set)}
-    if isinstance(result, (Witness, ChainWitness, InsufficientSize)):
-        return result.to_json()
+        return "nonprime", {"nonprime": sorted(e.homogeneous_set)}
+    for cls, kind in _RESULT_KINDS:
+        if isinstance(result, cls):
+            return kind, result.to_json()
     raise AssertionError(f"unexpected driver result {result!r}")
 
 
-def _witness_line(item: tuple[int, str, int, bool]) -> tuple[int, str, str]:
+def _witness_line(item: tuple[int, str, int, bool]) -> tuple[str, str, str]:
+    """(kind, output line, error line) for one input line; kind is the
+    payload's kind, or "error" when the line could not be processed."""
     lineno, text, n, as_json = item
     try:
-        payload = _witness_payload(text, n)
+        kind, payload = _witness_payload(text, n)
     except Graph6Error as e:
-        return lineno, "", f"line {lineno}: {e}"
+        return "error", "", f"line {lineno}: {e}"
     except ValueError as e:
-        return lineno, "", f"line {lineno}: {e}"
+        return "error", "", f"line {lineno}: {e}"
     if as_json:
-        return lineno, json.dumps(payload, separators=(",", ":")), ""
-    return lineno, _summarize(payload), ""
+        return kind, json.dumps(payload, separators=(",", ":")), ""
+    return kind, _summarize(payload), ""
 
 
 def _summarize(payload: dict) -> str:
@@ -117,24 +124,13 @@ def cmd_witness(args) -> int:
     else:
         results = [_witness_line(item) for item in items]
     totals = {"witness": 0, "chain": 0, "insufficient": 0, "nonprime": 0, "error": 0}
-    for _, out, err in results:
+    for kind, out, err in results:
+        totals[kind] += 1
         if err:
             print(err, file=sys.stderr)
-            totals["error"] += 1
             status = 1
         else:
             print(out)
-    for _, out, err in results:
-        if err:
-            continue
-        if '"family"' in out or out.startswith("witness"):
-            totals["witness"] += 1
-        elif '"chain"' in out or out.startswith("chain"):
-            totals["chain"] += 1
-        elif '"nonprime"' in out or out.startswith("nonprime"):
-            totals["nonprime"] += 1
-        else:
-            totals["insufficient"] += 1
     elapsed = time.monotonic() - started
     print(
         f"processed {len(items)} graphs in {elapsed:.2f}s: "

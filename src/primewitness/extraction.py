@@ -953,7 +953,7 @@ def unavoidable_witness(g: Graph, n: int) -> Witness | ChainWitness | Insufficie
         raise ValueError("witness size must be at least 3")
     if g.n < 3:
         raise ValueError("host needs at least 3 vertices")
-    cert = homogeneous.find_homogeneous_set(g) if not homogeneous.is_prime(g) else None
+    cert = homogeneous.find_homogeneous_set(g)
     if cert is not None:
         raise NotPrimeError(cert)
 

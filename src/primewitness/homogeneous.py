@@ -6,9 +6,16 @@ The workhorse is the seeded closure: the smallest set containing a given
 vertex pair that no outside vertex is mixed on.  The closure is the unique
 minimal candidate containing that pair, so a graph is prime exactly when
 every pair closes to the whole vertex set.
+
+One search answers both questions.  ``find_homogeneous_set`` returns the
+closure of the lexicographically least pair that closes to a proper set, a
+contract the golden witness corpus relies on, and ``is_prime`` is that search
+coming back empty.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .graphs import Graph, bits, mask_of
 
@@ -76,19 +83,35 @@ def closure(g: Graph, seed_mask: int) -> int:
 
 
 def find_homogeneous_set(g: Graph) -> frozenset[int] | None:
-    """First homogeneous set under lexicographic seed-pair order, else None.
+    """The closure of the lexicographically least seed pair (u, v), u < v,
+    whose closure is not the whole vertex set; None when there is none.
 
-    Which set comes back is a tie-breaking artifact; callers should only rely
-    on validity.
+    This is the set an all-pairs scan in lexicographic pair order returns,
+    and callers may rely on it: outputs are pinned byte for byte.  The search
+    is pivot refinement.  Each cell is split at its least vertex p after the
+    pairs (p, w), w in the cell, are closed in increasing w.  When they all
+    close to V, no homogeneous set contains p: one that also held a vertex
+    outside the cell would hold the earlier pivot that split the two apart.
+    A homogeneous set avoiding p is uniform to it, so it lies inside one side
+    of p's neighborhood split.  Cells are taken in increasing order of their
+    least vertex, so pivots come in increasing order and the first proper
+    closure met is the lexicographically first one.  On a prime graph the
+    cells, and so the closures, do not depend on the order.
     """
-    n = g.n
-    full = (1 << n) - 1
-    for u in range(n):
-        bu = 1 << u
-        for v in range(u + 1, n):
-            s = closure(g, bu | (1 << v))
+    full = g.vertex_mask()
+    rows = g.rows
+    heap = [(full & -full, full)] if full.bit_count() >= 2 else []
+    while heap:
+        low, cell = heapq.heappop(heap)
+        p = low.bit_length() - 1
+        rest = cell ^ low
+        for w in bits(rest):
+            s = closure(g, low | (1 << w))
             if s != full:
                 return frozenset(bits(s))
+        for sub in (rest & rows[p], rest & ~rows[p]):
+            if sub.bit_count() >= 2:
+                heapq.heappush(heap, (sub & -sub, sub))
     return None
 
 
@@ -100,31 +123,6 @@ def is_prime(g: Graph, *, small_vacuous: bool = False) -> bool:
     implements all start at 3 vertices), and ``small_vacuous=True`` exposes
     the literal reading.
     """
-    n = g.n
-    if n <= 2:
+    if g.n <= 2:
         return small_vacuous
-    return _prime_pivot(g)
-
-
-def _prime_pivot(g: Graph) -> bool:
-    # Seeded closure over pairs, pruned: once every pair through a pivot
-    # closes to V, any remaining homogeneous set avoids the pivot and is
-    # uniform to it, so it lives inside one side of the pivot's neighborhood
-    # split.  Same closures as the all-pairs scan, far fewer of them.
-    n = g.n
-    full = (1 << n) - 1
-    rows = g.rows
-    stack = [full]
-    while stack:
-        cell = stack.pop()
-        if cell.bit_count() < 2:
-            continue
-        p = (cell & -cell).bit_length() - 1
-        bp = 1 << p
-        rest = cell ^ bp
-        for w in bits(rest):
-            if closure(g, bp | (1 << w)) != full:
-                return False
-        stack.append(rest & rows[p])
-        stack.append(rest & ~rows[p])
-    return True
+    return find_homogeneous_set(g) is None

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from primewitness.chains import (
-    assert_criterion_matches_primality,
     chain_induces_prime,
     find_chain,
     trim_chain_to_prime,
@@ -133,6 +132,12 @@ def test_fig3_chains_are_not_prime():
         assert validate_chain(g, seq) == (True, None)
         assert not chain_induces_prime(g, seq)
         assert not is_prime(g)
+
+
+def assert_criterion_matches_primality(g, seq) -> bool:
+    """Cross-check: criterion verdict equals primality of the induced subgraph."""
+    sub, _ = induced_subgraph(g, seq)
+    return chain_induces_prime(g, seq) == is_prime(sub)
 
 
 def test_criterion_equals_primality():

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from primewitness.cli import main
 from primewitness.families import Family, FamilyId, generate
 from primewitness.graphs import complement, emit_graph6, parse_graph6
@@ -43,6 +45,13 @@ def test_prime_verdicts(capsys, monkeypatch):
     first, second = out.strip().splitlines()
     assert first == "prime"
     assert second.startswith("homogeneous {")
+
+
+def test_prime_tiny_graphs(capsys, monkeypatch):
+    # 0, 1 and 2 vertices (the last two with and without the edge)
+    code, out, _ = run_cli(capsys, ["prime"], "?\n@\nA_\nA?\n", monkeypatch)
+    assert code == 0
+    assert out.splitlines() == ["prime"] * 4
 
 
 def test_prime_empty_input(capsys, monkeypatch):
@@ -93,6 +102,24 @@ def test_witness_insufficient(capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out.strip())
     assert set(payload) >= {"stage", "needed", "had"}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_witness_summary_counts(capsys, monkeypatch, as_json):
+    from primewitness.graphs import Graph
+
+    hosts = [generate(FamilyId(Family.HALF_GRAPH, 12)).graph, Graph.complete(5), Graph.cycle(7)]
+    text = "".join(emit_graph6(h) + "\n" for h in hosts) + "!!notgraph6!!\n"
+    argv = ["witness", "--n", "6"] + (["--json"] if as_json else [])
+    code, out, err = run_cli(capsys, argv, text, monkeypatch)
+    assert code == 1
+    assert len(out.splitlines()) == 3
+    assert "line 4" in err
+    summary = err.strip().splitlines()[-1]
+    assert summary.startswith("processed 4 graphs in ")
+    assert summary.endswith(
+        "s: 1 family witnesses, 0 chain witnesses, 1 insufficient, 1 non-prime, 1 errors"
+    )
 
 
 def test_witness_bad_n(capsys, monkeypatch):

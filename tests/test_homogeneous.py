@@ -11,7 +11,7 @@ from primewitness.homogeneous import (
     is_prime,
 )
 
-from util import all_graphs, random_graph, substitute
+from util import all_graphs, lex_first_closure, random_graph, substitute
 
 
 def test_cycle4_homogeneous_sets():
@@ -75,9 +75,19 @@ def test_agreement_exhaustive_up_to_five():
 
 def test_pivot_primality_matches_lexicographic_search():
     rng = random.Random(10)
-    for _ in range(300):
-        g = random_graph(rng, rng.randrange(4, 12), rng.choice([0.2, 0.5, 0.8]))
+    graphs = [
+        random_graph(rng, rng.randrange(4, 12), rng.choice([0.2, 0.5, 0.8]))
+        for _ in range(300)
+    ]
+    # a module at the top indices, as the prime-gnp benchmark plants it, puts
+    # the first proper closure behind pivots whose pairs all close to V
+    for _ in range(200):
+        host = random_graph(rng, rng.randrange(3, 10))
+        module = random_graph(rng, rng.randrange(2, 6))
+        graphs.append(substitute(host, rng.randrange(host.n), module))
+    for g in graphs:
         assert is_prime(g) == (find_homogeneous_set(g) is None)
+        assert find_homogeneous_set(g) == lex_first_closure(g)
 
 
 def test_complement_invariance():

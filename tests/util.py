@@ -1,11 +1,12 @@
 """Shared helpers for the test suite: graph sampling, exhaustive enumeration,
-random chain growth, and the substitution construction."""
+random chain growth, the substitution construction, and the all-pairs
+closure scan that ``find_homogeneous_set`` must agree with."""
 
 from __future__ import annotations
 
 import random
 
-from primewitness.graphs import Graph
+from primewitness.graphs import Graph, bits
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -90,3 +91,17 @@ def substitute(g: Graph, v: int, h: Graph) -> Graph:
     for a, b in h.edges():
         edges.append((len(outer) + a, len(outer) + b))
     return Graph.from_edges(n, edges)
+
+
+def lex_first_closure(g: Graph) -> frozenset[int] | None:
+    """Reference for ``find_homogeneous_set``: close every seed pair in
+    lexicographic order and return the first closure that is not all of V."""
+    from primewitness.homogeneous import closure
+
+    full = g.vertex_mask()
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            s = closure(g, (1 << u) | (1 << v))
+            if s != full:
+                return frozenset(bits(s))
+    return None
