@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from . import chains as chainmod
 from . import families as fam
 from . import homogeneous
-from .families import Family, FamilyId, check_witness
+from .families import Family, FamilyId, check_witness, require_valid
 from .graphs import Graph, bits, complement, mask_of
 from .witnesses import ChainWitness, InsufficientSize, NotPrimeError, Witness
 
@@ -440,8 +440,7 @@ def extract_from_independent_set(
     witness = _witness_from_pair_color(
         g, xs, ys, sorted(iset), _PALETTE_AB[cid], n, n1, n2
     )
-    assert check_witness(g, witness), "independent-set witness failed re-validation"
-    return witness
+    return require_valid(g, witness, "independent-set")
 
 
 def _witness_from_pair_color(
@@ -657,8 +656,7 @@ def _matching_recursion(g, edges, chains_list, v, n, nprime, t) -> Witness:
 
     def wit(family: Family, size: int, emb: Sequence[int]) -> Witness:
         w = Witness(FamilyId(family, size), tuple(emb), provenance=f"{tag}[{color}]")
-        assert check_witness(g, w), "matching witness failed re-validation"
-        return w
+        return require_valid(g, w, "matching")
 
     if color in ((2, 2, 2), (3, 3, 3)):
         center = zs[sel[0]] if color == (2, 2, 2) else zs[sel[-1]]
@@ -713,8 +711,7 @@ def _star_witness(g, star_edges, center, provenance) -> Witness:
         tuple(leaves + mids + [center]),
         provenance=provenance,
     )
-    assert check_witness(g, w), "star witness failed re-validation"
-    return w
+    return require_valid(g, w, "star")
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +757,7 @@ def extract_from_half_split(
         prefix = chain[: n + 2]
         seq = chainmod.trim_chain_to_prime(g, prefix)
         w = ChainWitness(tuple(seq), provenance="half-split[chain]")
-        assert check_witness(g, w), "chain witness failed re-validation"
-        return w
+        return require_valid(g, w, "chain")
 
     interior = chain[2:t]
     interior_set = set(interior)
@@ -833,8 +829,7 @@ def extract_from_half_split(
             tuple(a_in[:-1] + [q] + b_in + [ui]),
             provenance="half-split[pendant]",
         )
-    assert check_witness(g, w), "half-split witness failed re-validation"
-    return w
+    return require_valid(g, w, "half-split")
 
 
 # ---------------------------------------------------------------------------
@@ -1023,5 +1018,4 @@ def _reorient(g: Graph, w: Witness | ChainWitness, comp_flag: bool) -> Witness |
         else:
             fid = FamilyId(w.family.family, w.family.n, not w.family.complemented)
             w = Witness(fid, w.embedding, f"{w.provenance} (in complement)")
-    assert check_witness(g, w), "final witness failed re-validation against the host"
-    return w
+    return require_valid(g, w, "final")

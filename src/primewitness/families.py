@@ -159,6 +159,12 @@ def _pattern(fid: FamilyId) -> Graph:
 
 # ---------------------------------------------------------------------------
 # Induced-copy search: exact backtracking over bitmask candidate domains.
+# Each pattern is compiled once into its search order, the adjacency flags
+# of each depth's vertex to the deeper ones, and each depth's degree
+# signature.  Per call, the host's degree profile is built once and every
+# distinct signature's candidate mask once; the search then keeps one
+# domain per depth and filters the deeper ones with the chosen host
+# vertex's row or complement row.
 # ---------------------------------------------------------------------------
 
 def _search_order(pat: Graph) -> list[int]:
@@ -179,19 +185,25 @@ def _search_order(pat: Graph) -> list[int]:
     return placed
 
 
-def _candidate_mask(host: Graph, pat: Graph, p: int) -> int:
-    pdeg = pat.degree(p)
-    pco = pat.n - 1 - pdeg
-    pnbr = sorted((pat.degree(q) for q in bits(pat.rows[p])), reverse=True)
-    mask = 0
-    for v in range(host.n):
-        if host.degree(v) < pdeg or host.n - 1 - host.degree(v) < pco:
-            continue
-        hnbr = sorted((host.degree(w) for w in bits(host.rows[v])), reverse=True)
-        if any(hnbr[i] < pnbr[i] for i in range(len(pnbr))):
-            continue
-        mask |= 1 << v
-    return mask
+@lru_cache(maxsize=512)
+def _compile(pat: Graph) -> tuple[tuple[int, ...], tuple[tuple[bool, ...], ...], tuple[tuple, ...]]:
+    """``(order, flags, sigs)`` for a pattern: the search order; per depth k,
+    whether ``order[k]`` is adjacent to each of ``order[k+1:]``; per depth,
+    the signature (degree, co-degree, neighbour degrees descending) that a
+    host vertex must dominate to be a candidate."""
+    order = tuple(_search_order(pat))
+    flags = tuple(
+        tuple(pat.adjacent(u, w) for w in order[k + 1:]) for k, u in enumerate(order)
+    )
+    sigs = tuple(
+        (
+            pat.degree(u),
+            pat.n - 1 - pat.degree(u),
+            tuple(sorted((pat.degree(q) for q in bits(pat.rows[u])), reverse=True)),
+        )
+        for u in order
+    )
+    return order, flags, sigs
 
 
 def find_induced_copy(host: Graph, fid: FamilyId) -> tuple[int, ...] | None:
@@ -205,47 +217,84 @@ def find_induced_copy(host: Graph, fid: FamilyId) -> tuple[int, ...] | None:
 
 
 def find_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
-    if pat.n > host.n:
-        return None
-    if pat.n == 0:
-        return ()
-    order = _search_order(pat)
-    domains = [0] * pat.n
-    for p in range(pat.n):
-        domains[p] = _candidate_mask(host, pat, p)
-        if domains[p] == 0:
-            return None
+    """First induced embedding of ``pat`` into ``host``, or None.
 
-    assign = [-1] * pat.n
-    hrows = host.rows
+    Returns host vertices in pattern order.  The result is the first
+    complete assignment of a backtracking search that places pattern
+    vertices in the fixed order of ``_search_order`` and tries each one's
+    candidates in ascending host index; a candidate must dominate the
+    pattern vertex's degree, co-degree and sorted neighbour degrees, and
+    every placement filters the domains of the vertices still to place.
+    Witness output is pinned to this first match: the search order and the
+    ascending candidate order are part of the output contract, while
+    pruning that only cuts subtrees holding no complete assignment leaves
+    it unchanged.
+    """
+    n = pat.n
+    if n > host.n:
+        return None
+    if n == 0:
+        return ()
+    order, flags, sigs = _compile(pat)
+    rows = host.rows
+    hn = host.n
+    deg = [r.bit_count() for r in rows]
+    nbr_degs = [sorted((deg[w] for w in bits(r)), reverse=True) for r in rows]
+    masks: dict[tuple, int] = {}
+    for sig in sigs:
+        if sig in masks:
+            continue
+        pdeg, pco, pnbr = sig
+        mask = 0
+        for v in range(hn):
+            d = deg[v]
+            if d < pdeg or hn - 1 - d < pco:
+                continue
+            hnbr = nbr_degs[v]
+            if any(hnbr[i] < pnbr[i] for i in range(pdeg)):
+                continue
+            mask |= 1 << v
+        if not mask:
+            return None
+        masks[sig] = mask
+
+    full = (1 << hn) - 1
+    crows = [full ^ r ^ (1 << v) for v, r in enumerate(rows)]
+    last = n - 1
+    chosen = [0] * n
 
     def dfs(k: int, doms: list[int]) -> bool:
-        if k == pat.n:
+        # doms[i] is the domain of depth k + i
+        dom = doms[0]
+        if k == last:
+            chosen[k] = (dom & -dom).bit_length() - 1
             return True
-        u = order[k]
-        for v in bits(doms[u]):
-            nxt = doms[:]
-            ok = True
-            bv = 1 << v
-            for w in order[k + 1:]:
-                if pat.adjacent(u, w):
-                    nd = nxt[w] & hrows[v] & ~bv
-                else:
-                    nd = nxt[w] & ~hrows[v] & ~bv
-                if nd == 0:
-                    ok = False
+        flag = flags[k]
+        tail = doms[1:]
+        while dom:
+            low = dom & -dom
+            dom ^= low
+            v = low.bit_length() - 1
+            row = rows[v]
+            crow = crows[v]
+            nxt = []
+            for d, adj in zip(tail, flag):
+                d &= row if adj else crow
+                if not d:
                     break
-                nxt[w] = nd
-            if ok:
-                assign[u] = v
+                nxt.append(d)
+            else:
+                chosen[k] = v
                 if dfs(k + 1, nxt):
                     return True
-                assign[u] = -1
         return False
 
-    if dfs(0, domains):
-        return tuple(assign)
-    return None
+    if not dfs(0, [masks[sig] for sig in sigs]):
+        return None
+    assign = [0] * n
+    for k, u in enumerate(order):
+        assign[u] = chosen[k]
+    return tuple(assign)
 
 
 def check_witness(g: Graph, w: Witness | ChainWitness) -> bool:
@@ -266,6 +315,15 @@ def check_witness(g: Graph, w: Witness | ChainWitness) -> bool:
             if pat.adjacent(i, j) != g.adjacent(emb[i], emb[j]):
                 return False
     return True
+
+
+def require_valid(g: Graph, w: Witness | ChainWitness, what: str) -> Witness | ChainWitness:
+    """Return ``w`` if it re-validates against ``g``; otherwise raise
+    RuntimeError naming the witness.  An explicit check, so that ``python -O``
+    does not strip it as it would an ``assert``."""
+    if not check_witness(g, w):
+        raise RuntimeError(f"{what} witness failed re-validation")
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +355,12 @@ def find_witness_any(host: Graph, n: int) -> Witness | ChainWitness | None:
                 continue
             emb = find_induced_copy(host, fid)
             if emb is not None:
-                w = Witness(fid, emb, provenance="direct-search")
-                assert check_witness(host, w)
-                return w
+                return require_valid(
+                    host, Witness(fid, emb, provenance="direct-search"), f"{fid} family"
+                )
     seq = find_prime_chain(host, n)
     if seq is not None:
-        w = ChainWitness(seq, provenance="direct-search")
-        assert check_witness(host, w)
-        return w
+        return require_valid(host, ChainWitness(seq, provenance="direct-search"), "prime-chain")
     return None
 
 

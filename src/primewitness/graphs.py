@@ -56,6 +56,15 @@ class Graph:
         self.rows = rows
 
     @classmethod
+    def _trusted(cls, n: int, rows: Iterable[int]) -> "Graph":
+        """Graph on rows that are valid by construction (in range, loop-free,
+        symmetric), without the checks ``__init__`` makes on outside input."""
+        g = object.__new__(cls)
+        g.n = n
+        g.rows = tuple(rows)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for u, v in edges:
@@ -115,7 +124,7 @@ class Graph:
 def complement(g: Graph) -> Graph:
     """Complement on the same vertex set: u~v iff u != v and not u~v in g."""
     full = g.vertex_mask()
-    return Graph(g.n, [(full ^ row) & ~(1 << v) for v, row in enumerate(g.rows)])
+    return Graph._trusted(g.n, [(full ^ row) & ~(1 << v) for v, row in enumerate(g.rows)])
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -136,7 +145,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
             if j is not None:
                 row |= 1 << j
         rows.append(row)
-    return Graph(len(back), rows), back
+    return Graph._trusted(len(back), rows), back
 
 
 # ---------------------------------------------------------------------------

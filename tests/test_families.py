@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from primewitness import families
 from primewitness.chains import chain_induces_prime, validate_chain
 from primewitness.families import (
+    THEOREM_FAMILY_ORDER,
     Family,
     FamilyId,
     check_witness,
@@ -18,7 +20,7 @@ from primewitness.graphs import Graph, are_isomorphic, complement
 from primewitness.homogeneous import is_prime
 from primewitness.witnesses import ChainWitness, Witness
 
-from util import random_graph
+from util import random_graph, reference_induced_embedding
 
 
 def test_family_id_parsing():
@@ -171,6 +173,31 @@ def test_induced_copy_matches_naive_oracle():
         assert (find_induced_embedding(host, pat) is not None) == _naive_contains(host, pat)
 
 
+def test_induced_embedding_matches_reference():
+    # the first match is pinned, not only existence: witness output and the
+    # golden corpus depend on which embedding the search returns first
+    rng = random.Random(33)
+    cases = []
+    for _ in range(300):
+        host = random_graph(rng, rng.randrange(5, 31), rng.choice([0.3, 0.5, 0.7]))
+        cases.append((host, random_graph(rng, rng.randrange(1, 9), rng.choice([0.3, 0.5, 0.7]))))
+    for fam in THEOREM_FAMILY_ORDER:
+        for n in (3, 4):
+            for comp in (False, True):
+                pat = generate(FamilyId(fam, n, comp)).graph
+                for p in (0.3, 0.5, 0.7):
+                    cases.append((random_graph(rng, rng.randrange(20, 41), p), pat))
+    host = random_graph(rng, 6)
+    cases += [(host, Graph.empty(0)), (host, Graph.empty(1)), (host, random_graph(rng, 7))]
+    cases += [(Graph.empty(0), Graph.empty(0)), (Graph.empty(0), Graph.empty(1))]
+    found = 0
+    for host, pat in cases:
+        emb = find_induced_embedding(host, pat)
+        assert emb == reference_induced_embedding(host, pat), (host.rows, pat.rows)
+        found += emb is not None
+    assert 0 < found < len(cases)
+
+
 # find_witness_any ----------------------------------------------------------
 
 def test_self_containment():
@@ -231,3 +258,13 @@ def test_absence_proofs_on_structured_hosts():
     # and a clique-heavy host contains no induced pair of disjoint edges
     host = generate(FamilyId(Family.LINE_K2N, 6)).graph
     assert find_induced_copy(host, FamilyId(Family.SUBDIVIDED_STAR, 3)) is None
+
+
+def test_witness_revalidation_is_not_an_assert(monkeypatch):
+    # the re-check must raise even under python -O, which strips asserts
+    host = generate(FamilyId(Family.HALF_GRAPH, 10)).graph
+    monkeypatch.setattr(families, "check_witness", lambda g, w: False)
+    with pytest.raises(RuntimeError, match="re-validation"):
+        find_witness_any(host, 4)
+    with pytest.raises(RuntimeError, match="re-validation"):
+        find_witness_any(Graph.path(9), 4)

@@ -75,6 +75,18 @@ def test_induced_subgraph_edge_restriction():
         assert set(sub.edges()) == expected
 
 
+def test_derived_graphs_equal_checked_construction():
+    # complement and induced_subgraph skip the constructor's checks; their
+    # rows must still be what Graph(n, rows) accepts and stores
+    rng = random.Random(34)
+    for _ in range(200):
+        g = random_graph(rng, rng.randrange(0, 30), rng.choice([0.2, 0.5, 0.8]))
+        c = complement(g)
+        assert c == Graph(c.n, c.rows)
+        sub, _ = induced_subgraph(g, rng.sample(range(g.n), rng.randrange(0, g.n + 1)))
+        assert sub == Graph(sub.n, sub.rows)
+
+
 def test_p4_isomorphic_to_its_complement():
     p4 = Graph.path(4)
     m = find_isomorphism(p4, complement(p4))

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: graph sampling, exhaustive enumeration,
-random chain growth, the substitution construction, and the all-pairs
-closure scan that ``find_homogeneous_set`` must agree with."""
+random chain growth, the substitution construction, and the references that
+``find_homogeneous_set`` (all-pairs closure scan) and
+``find_induced_embedding`` (plain backtracking) must agree with."""
 
 from __future__ import annotations
 
@@ -45,21 +46,22 @@ def random_chain(rng: random.Random, g: Graph, length: int) -> tuple[int, ...] |
     verts = list(range(g.n))
     rng.shuffle(verts)
     seq = verts[:2]
-    used = (1 << seq[0]) | (1 << seq[1])
+    rows = g.rows
+    free = g.vertex_mask() & ~(1 << seq[0]) & ~(1 << seq[1])
+    # union and intersection of the rows of the used vertices but the last
+    union = inter = rows[seq[0]]
     while len(seq) <= length:
-        last = seq[-1]
-        cands = []
-        for v in range(g.n):
-            if (used >> v) & 1:
-                continue
-            nb = g.rows[v] & used
-            if nb == 1 << last or (used & ~g.rows[v]) == 1 << last:
-                cands.append(v)
+        # v may follow when the last vertex alone tells it apart from the
+        # rest: its used neighbours are just the last, or all but the last
+        last = rows[seq[-1]]
+        cands = list(bits(free & ((last & ~union) | (inter & ~last))))
         if not cands:
             return None
         v = rng.choice(cands)
         seq.append(v)
-        used |= 1 << v
+        free &= ~(1 << v)
+        union |= last
+        inter &= last
     return tuple(seq)
 
 
@@ -104,4 +106,81 @@ def lex_first_closure(g: Graph) -> frozenset[int] | None:
             s = closure(g, (1 << u) | (1 << v))
             if s != full:
                 return frozenset(bits(s))
+    return None
+
+
+def reference_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
+    """Reference for ``find_induced_embedding``: the same backtracking search
+    written plainly, recomputing the candidate filter per pattern vertex and
+    copying every domain at each node.  Both must return the same first
+    match."""
+    if pat.n > host.n:
+        return None
+    if pat.n == 0:
+        return ()
+
+    placed: list[int] = []
+    remaining = set(range(pat.n))
+    while remaining:
+        best = min(
+            remaining,
+            key=lambda v: (
+                -pat.degree(v),
+                -sum(1 for w in placed if pat.adjacent(v, w)),
+                v,
+            ),
+        )
+        placed.append(best)
+        remaining.remove(best)
+    order = placed
+
+    def candidate_mask(p: int) -> int:
+        pdeg = pat.degree(p)
+        pco = pat.n - 1 - pdeg
+        pnbr = sorted((pat.degree(q) for q in bits(pat.rows[p])), reverse=True)
+        mask = 0
+        for v in range(host.n):
+            if host.degree(v) < pdeg or host.n - 1 - host.degree(v) < pco:
+                continue
+            hnbr = sorted((host.degree(w) for w in bits(host.rows[v])), reverse=True)
+            if any(hnbr[i] < pnbr[i] for i in range(len(pnbr))):
+                continue
+            mask |= 1 << v
+        return mask
+
+    domains = [0] * pat.n
+    for p in range(pat.n):
+        domains[p] = candidate_mask(p)
+        if domains[p] == 0:
+            return None
+
+    assign = [-1] * pat.n
+    hrows = host.rows
+
+    def dfs(k: int, doms: list[int]) -> bool:
+        if k == pat.n:
+            return True
+        u = order[k]
+        for v in bits(doms[u]):
+            nxt = doms[:]
+            ok = True
+            bv = 1 << v
+            for w in order[k + 1:]:
+                if pat.adjacent(u, w):
+                    nd = nxt[w] & hrows[v] & ~bv
+                else:
+                    nd = nxt[w] & ~hrows[v] & ~bv
+                if nd == 0:
+                    ok = False
+                    break
+                nxt[w] = nd
+            if ok:
+                assign[u] = v
+                if dfs(k + 1, nxt):
+                    return True
+                assign[u] = -1
+        return False
+
+    if dfs(0, domains):
+        return tuple(assign)
     return None
