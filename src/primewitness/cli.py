@@ -13,12 +13,14 @@ import json
 import random
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
 from . import extraction, families, homogeneous
 from .chains import find_chain
 from .families import Family, FamilyId, find_induced_copy, generate
-from .graphs import Graph, Graph6Error, complement, emit_graph6, parse_graph6
+from .graphs import Graph6Error, emit_graph6, parse_graph6
+from .oracles import all_graphs, naive_induced_search, random_graph
 from .witnesses import ChainWitness, InsufficientSize, NotPrimeError, Witness
 
 DEFAULT_SEED = 20150420
@@ -108,32 +110,46 @@ def _summarize(payload: dict) -> str:
     return f"insufficient stage={payload['stage']} needed={payload['needed']} had={payload['had']}"
 
 
+def _witness_results(items, jobs: int):
+    """``_witness_line`` of each item, yielded in input order as soon as it
+    and every earlier one are done.  With more than one job, items run in a
+    process pool with at most ``2 * jobs`` in flight, so input is read only
+    as fast as results come out."""
+    if jobs <= 1:
+        for item in items:
+            yield _witness_line(item)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        window: deque = deque()
+        for item in items:
+            window.append(pool.submit(_witness_line, item))
+            while window and (len(window) >= 2 * jobs or window[0].done()):
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+
+
 def cmd_witness(args) -> int:
     if args.n < 3:
         return _fail_usage("--n must be at least 3")
     started = time.monotonic()
-    items = []
+    items = (
+        (lineno, line.strip(), args.n, args.json)
+        for lineno, line in enumerate(args.input, start=1)
+        if line.strip()
+    )
     status = 0
-    for lineno, line in enumerate(args.input, start=1):
-        text = line.strip()
-        if text:
-            items.append((lineno, text, args.n, args.json))
-    if args.jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_witness_line, items))
-    else:
-        results = [_witness_line(item) for item in items]
     totals = {"witness": 0, "chain": 0, "insufficient": 0, "nonprime": 0, "error": 0}
-    for kind, out, err in results:
+    for kind, out, err in _witness_results(items, args.jobs):
         totals[kind] += 1
         if err:
-            print(err, file=sys.stderr)
+            print(err, file=sys.stderr, flush=True)
             status = 1
         else:
-            print(out)
+            print(out, flush=True)
     elapsed = time.monotonic() - started
     print(
-        f"processed {len(items)} graphs in {elapsed:.2f}s: "
+        f"processed {sum(totals.values())} graphs in {elapsed:.2f}s: "
         f"{totals['witness']} family witnesses, {totals['chain']} chain witnesses, "
         f"{totals['insufficient']} insufficient, {totals['nonprime']} non-prime, "
         f"{totals['error']} errors",
@@ -146,24 +162,13 @@ def cmd_witness(args) -> int:
 # verify: oracle agreement sweeps and the family non-containment matrix.
 # ---------------------------------------------------------------------------
 
-def _all_graphs(n: int):
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for code in range(1 << len(pairs)):
-        rows = [0] * n
-        for b, (i, j) in enumerate(pairs):
-            if (code >> b) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        yield Graph(n, rows)
-
-
 def _verify_primality(max_n: int) -> tuple[int, int, dict[int, int]]:
     checked = 0
     bad = 0
     prime_counts: dict[int, int] = {}
     for n in range(max_n + 1):
         count = 0
-        for g in _all_graphs(n):
+        for g in all_graphs(n):
             checked += 1
             fast = homogeneous.find_homogeneous_set(g) is None
             brute = not homogeneous.brute_force_homogeneous(g)
@@ -179,7 +184,7 @@ def _verify_chain_equivalence(max_n: int) -> tuple[int, int]:
     checked = 0
     bad = 0
     for n in range(3, max_n + 1):
-        for g in _all_graphs(n):
+        for g in all_graphs(n):
             homsets = homogeneous.brute_force_homogeneous(g)
             for u in range(n):
                 for v in range(u + 1, n):
@@ -219,33 +224,6 @@ _MATRIX_LABELS = {
 }
 
 
-def _naive_induced_search(host: Graph, pat: Graph) -> bool:
-    # independent second strategy: static pattern order, no candidate filters
-    if pat.n > host.n:
-        return False
-
-    assign = [-1] * pat.n
-
-    def rec(k: int, used: int) -> bool:
-        if k == pat.n:
-            return True
-        for v in range(host.n):
-            if (used >> v) & 1:
-                continue
-            ok = True
-            for q in range(k):
-                if pat.adjacent(k, q) != host.adjacent(v, assign[q]):
-                    ok = False
-                    break
-            if ok:
-                assign[k] = v
-                if rec(k + 1, used | (1 << v)):
-                    return True
-        return False
-
-    return rec(0, 0)
-
-
 def _verify_matrix(n_host: int, n_pat: int) -> tuple[list[str], int]:
     lines = []
     disagreements = 0
@@ -264,7 +242,7 @@ def _verify_matrix(n_host: int, n_pat: int) -> tuple[list[str], int]:
         cells = []
         for fid in pattern_ids:
             fast = find_induced_copy(host, fid) is not None
-            naive = _naive_induced_search(host, generate(fid).graph)
+            naive = naive_induced_search(host, generate(fid).graph)
             if fast != naive:
                 disagreements += 1
                 cells.append("DISAGREE".ljust(10))
@@ -272,16 +250,6 @@ def _verify_matrix(n_host: int, n_pat: int) -> tuple[list[str], int]:
                 cells.append(("yes" if fast else "no").ljust(10))
         lines.append(f"{fh.value}:{n_host}".ljust(22) + " ".join(cells))
     return lines, disagreements
-
-
-def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
-    rows = [0] * n
-    for j in range(1, n):
-        for i in range(j):
-            if rng.random() < p:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, rows)
 
 
 def cmd_verify(args) -> int:
@@ -308,7 +276,7 @@ def cmd_verify(args) -> int:
     spot = 0
     spot_bad = 0
     for _ in range(200):
-        g = _random_graph(rng, rng.randrange(8, 13))
+        g = random_graph(rng, rng.randrange(8, 13))
         spot += 1
         fast = homogeneous.find_homogeneous_set(g) is None
         brute = not homogeneous.brute_force_homogeneous(g)

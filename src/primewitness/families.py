@@ -160,11 +160,15 @@ def _pattern(fid: FamilyId) -> Graph:
 # ---------------------------------------------------------------------------
 # Induced-copy search: exact backtracking over bitmask candidate domains.
 # Each pattern is compiled once into its search order, the adjacency flags
-# of each depth's vertex to the deeper ones, and each depth's degree
-# signature.  Per call, the host's degree profile is built once and every
-# distinct signature's candidate mask once; the search then keeps one
-# domain per depth and filters the deeper ones with the chosen host
-# vertex's row or complement row.
+# of each depth's vertex to the deeper ones, each depth's degree signature,
+# and each depth's orbit-mates: the deeper vertices to which an automorphism
+# fixing the shallower ones maps it.  Per call, the host's degree
+# profile is built once and every distinct signature's candidate mask once;
+# the search then keeps one domain per depth and filters the deeper ones
+# with the chosen host vertex's row or complement row.  An orbit-mate's
+# domain is also cut to host vertices above the chosen one, so the search
+# does not walk the relabellings of a partial copy by pattern automorphisms.
+# None of these cuts changes the first match (see ``find_induced_embedding``).
 # ---------------------------------------------------------------------------
 
 def _search_order(pat: Graph) -> list[int]:
@@ -185,15 +189,65 @@ def _search_order(pat: Graph) -> list[int]:
     return placed
 
 
+def _stabilizer_orbits(pat: Graph, order: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per depth k, the vertices w != ``order[k]``, ascending, such that some
+    automorphism of ``pat`` fixes each of ``order[:k]`` and maps ``order[k]``
+    to w.  Exact: each w is kept only when a full automorphism is found."""
+    rows = pat.rows
+    full = (1 << pat.n) - 1
+    crows = [full ^ r ^ (1 << v) for v, r in enumerate(rows)]
+
+    def place(doms: dict[int, int], x: int, y: int) -> dict[int, int] | None:
+        # doms holds the domain of each unplaced vertex; mapping x to y keeps
+        # in the others' domains only what agrees with y's adjacency
+        out = {}
+        for z, d in doms.items():
+            if z != x:
+                d &= rows[y] if (rows[x] >> z) & 1 else crows[y]
+                if not d:
+                    return None
+                out[z] = d
+        return out
+
+    def extends(doms: dict[int, int]) -> bool:
+        if not doms:
+            return True
+        x = min(doms, key=lambda z: doms[z].bit_count())
+        for y in bits(doms[x]):
+            nxt = place(doms, x, y)
+            if nxt is not None and extends(nxt):
+                return True
+        return False
+
+    deg = [r.bit_count() for r in rows]
+    doms = {v: sum(1 << w for w, d in enumerate(deg) if d == deg[v]) for v in range(pat.n)}
+    mates = []
+    for u in order:
+        found = []
+        for w in bits(doms[u] & ~(1 << u)):
+            nxt = place(doms, u, w)
+            if nxt is not None and extends(nxt):
+                found.append(w)
+        mates.append(tuple(found))
+        doms = place(doms, u, u)  # the identity extends, so never None
+    return tuple(mates)
+
+
 @lru_cache(maxsize=512)
-def _compile(pat: Graph) -> tuple[tuple[int, ...], tuple[tuple[bool, ...], ...], tuple[tuple, ...]]:
-    """``(order, flags, sigs)`` for a pattern: the search order; per depth k,
-    whether ``order[k]`` is adjacent to each of ``order[k+1:]``; per depth,
-    the signature (degree, co-degree, neighbour degrees descending) that a
-    host vertex must dominate to be a candidate."""
+def _compile(pat: Graph) -> tuple[
+    tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple, ...], tuple[tuple[int, ...], ...]
+]:
+    """``(order, flags, sigs, mates)`` for a pattern: the search order; per
+    depth k, a flag for each of ``order[k+1:]``, bit 0 set when it is
+    adjacent to ``order[k]`` and bit 1 when it is one of ``order[k]``'s
+    orbit-mates; per depth, the signature (degree, co-degree, neighbour
+    degrees descending) that a host vertex must dominate to be a candidate;
+    per depth, the orbit-mates of ``order[k]`` (``_stabilizer_orbits``)."""
     order = tuple(_search_order(pat))
+    mates = _stabilizer_orbits(pat, order)
     flags = tuple(
-        tuple(pat.adjacent(u, w) for w in order[k + 1:]) for k, u in enumerate(order)
+        tuple(pat.adjacent(u, w) | (w in mates[k]) << 1 for w in order[k + 1:])
+        for k, u in enumerate(order)
     )
     sigs = tuple(
         (
@@ -203,7 +257,7 @@ def _compile(pat: Graph) -> tuple[tuple[int, ...], tuple[tuple[bool, ...], ...],
         )
         for u in order
     )
-    return order, flags, sigs
+    return order, flags, sigs, mates
 
 
 def find_induced_copy(host: Graph, fid: FamilyId) -> tuple[int, ...] | None:
@@ -229,13 +283,23 @@ def find_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
     ascending candidate order are part of the output contract, while
     pruning that only cuts subtrees holding no complete assignment leaves
     it unchanged.
+
+    Symmetry breaking: when depth k places host vertex v, every orbit-mate
+    w of ``order[k]`` (some automorphism fixing ``order[:k]`` maps
+    ``order[k]`` to w) must go to a host vertex above v.  This keeps the
+    first match phi*, the least embedding in search order: for any
+    automorphism s, phi* o s is an embedding too, so at the first vertex x
+    in search order that s moves, phi*(x) < phi*(s(x)), and every
+    constraint added is of this form.  The constrained search thus walks a
+    subset of the unconstrained tree in the same order, still reaches phi*
+    first, and a miss is still a proof of absence.
     """
     n = pat.n
     if n > host.n:
         return None
     if n == 0:
         return ()
-    order, flags, sigs = _compile(pat)
+    order, flags, sigs, mates = _compile(pat)
     rows = host.rows
     hn = host.n
     deg = [r.bit_count() for r in rows]
@@ -259,7 +323,8 @@ def find_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
         masks[sig] = mask
 
     full = (1 << hn) - 1
-    crows = [full ^ r ^ (1 << v) for v, r in enumerate(rows)]
+    # filters[v][flag & 1]: the complement row and the row of host vertex v
+    filters = [(full ^ r ^ (1 << v), r) for v, r in enumerate(rows)]
     last = n - 1
     chosen = [0] * n
 
@@ -270,16 +335,21 @@ def find_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
             chosen[k] = (dom & -dom).bit_length() - 1
             return True
         flag = flags[k]
+        breaking = mates[k]
         tail = doms[1:]
         while dom:
             low = dom & -dom
             dom ^= low
             v = low.bit_length() - 1
-            row = rows[v]
-            crow = crows[v]
+            filt = filters[v]
+            if breaking:
+                # flags 2 and 3 also keep only host vertices above v
+                crow, row = filt
+                above = -(low << 1)
+                filt = (crow, row, crow & above, row & above)
             nxt = []
-            for d, adj in zip(tail, flag):
-                d &= row if adj else crow
+            for d, f in zip(tail, flag):
+                d &= filt[f]
                 if not d:
                     break
                 nxt.append(d)

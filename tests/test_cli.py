@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +143,59 @@ def test_witness_jobs_preserves_order(capsys, monkeypatch):
     )
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+class _RecordingInput:
+    """Input lines that note, as each is read, how many output lines exist."""
+
+    def __init__(self, lines, out: io.StringIO):
+        self.lines = iter(lines)
+        self.out = out
+        self.printed_before = []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = next(self.lines)
+        self.printed_before.append(self.out.getvalue().count("\n"))
+        return line
+
+    def close(self):
+        # a forked pool worker closes its inherited stdin
+        pass
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_witness_streams_in_a_bounded_window(monkeypatch, jobs):
+    line = emit_graph6(generate(FamilyId(Family.HALF_GRAPH, 8)).graph) + "\n"
+    out = io.StringIO()
+    lines = _RecordingInput([line] * 8, out)
+    monkeypatch.setattr("sys.stdout", out)
+    monkeypatch.setattr("sys.stdin", lines)
+    assert main(["witness", "--n", "3", "--json", "--jobs", str(jobs)]) == 0
+    assert out.getvalue().count("\n") == 8
+    # at most 2 * jobs lines are in flight, so the first output line is out
+    # before line 2 * jobs + 1 is read (line 3 with one job)
+    assert lines.printed_before[2 * jobs] >= 1
+
+
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.mark.parametrize("workload", ["witness-hit", "witness-exhaust"])
+def test_witness_output_matches_golden_digests(capsys, monkeypatch, workload):
+    # the first-match contract end to end: the CLI output on the first 40
+    # graphs of the benchmark corpus (seed 1) equals the recorded output
+    monkeypatch.syspath_prepend(str(_BENCH))
+    from corpus import WORKLOADS
+    from run import digest, load_golden
+
+    golden = load_golden(workload, 1)
+    for item in WORKLOADS[workload].corpus(1)[:40]:
+        code, out, _ = run_cli(capsys, list(item.argv), item.g6 + "\n", monkeypatch)
+        assert code == 0
+        assert digest(out) == golden[item.index], (workload, item.index)
 
 
 def test_verify_small(capsys):

@@ -20,7 +20,7 @@ from primewitness.graphs import Graph, are_isomorphic, complement
 from primewitness.homogeneous import is_prime
 from primewitness.witnesses import ChainWitness, Witness
 
-from util import random_graph, reference_induced_embedding
+from util import automorphisms, random_graph, reference_induced_embedding
 
 
 def test_family_id_parsing():
@@ -196,6 +196,66 @@ def test_induced_embedding_matches_reference():
         assert emb == reference_induced_embedding(host, pat), (host.rows, pat.rows)
         found += emb is not None
     assert 0 < found < len(cases)
+
+
+_SYMMETRY_FAMILIES = [f for f in Family if f is not Family.PRIME_CHAIN]
+
+
+@pytest.mark.parametrize("comp", [False, True])
+@pytest.mark.parametrize("fam", _SYMMETRY_FAMILIES)
+def test_orbit_mates_are_stabilizer_orbits(fam, comp):
+    # at each depth k, the orbit of order[k] under the automorphisms that fix
+    # every shallower vertex, less order[k] itself: no more (that would cut
+    # the first match) and no less (that would lose pruning)
+    pat = generate(FamilyId(fam, 3, comp)).graph
+    order, flags, _, mates = families._compile(pat)
+    auts = automorphisms(pat)
+    for k, u in enumerate(order):
+        orbit = {s[u] for s in auts if all(s[x] == x for x in order[:k])}
+        assert set(mates[k]) == orbit - {u}, (k, u)
+        assert [f >> 1 for f in flags[k]] == [w in mates[k] for w in order[k + 1:]]
+
+
+def test_asymmetric_pattern_has_no_orbit_constraints():
+    pat = generate(FamilyId(Family.HALF_SPLIT_APEX, 3)).graph
+    _, flags, _, mates = families._compile(pat)
+    assert automorphisms(pat) == [tuple(range(pat.n))]
+    assert not any(mates)
+    assert all(f < 2 for flag in flags for f in flag)
+
+
+def _plant(rng: random.Random, host: Graph, pat: Graph) -> Graph:
+    """``host`` with ``pat`` induced on pat.n random vertices."""
+    spots = rng.sample(range(host.n), pat.n)
+    rows = list(host.rows)
+    for i, a in enumerate(spots):
+        for j, b in enumerate(spots):
+            if i != j:
+                if pat.adjacent(i, j):
+                    rows[a] |= 1 << b
+                else:
+                    rows[a] &= ~(1 << b)
+    return Graph(host.n, rows)
+
+
+def test_first_match_unchanged_on_symmetric_patterns():
+    # the orbit constraints must keep the first match of the unconstrained
+    # search, on hits (a planted copy) and on misses (the host before it)
+    rng = random.Random(36)
+    misses = 0
+    for fam in _SYMMETRY_FAMILIES:
+        for comp in (False, True):
+            for n in (3, 4, 5):
+                pat = generate(FamilyId(fam, n, comp)).graph
+                for p in (0.3, 0.5, 0.7):
+                    host = random_graph(rng, pat.n + rng.randrange(3, 16), p)
+                    planted = _plant(rng, host, pat)
+                    for g in (planted, host):
+                        emb = find_induced_embedding(g, pat)
+                        assert emb == reference_induced_embedding(g, pat), (fam, comp, n, p, g.rows)
+                        assert emb is not None or g is host
+                        misses += emb is None
+    assert misses > 0
 
 
 # find_witness_any ----------------------------------------------------------

@@ -1,23 +1,17 @@
-"""Shared helpers for the test suite: graph sampling, exhaustive enumeration,
-random chain growth, the substitution construction, and the references that
+"""Shared helpers for the test suite: random chain growth, the substitution
+construction, automorphisms by brute force, and the references that
 ``find_homogeneous_set`` (all-pairs closure scan) and
-``find_induced_embedding`` (plain backtracking) must agree with."""
+``find_induced_embedding`` (plain backtracking) must agree with.  Graph
+sampling and exhaustive enumeration are the library's oracles, re-exported
+here."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from primewitness.graphs import Graph, bits
-
-
-def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
-    rows = [0] * n
-    for j in range(1, n):
-        for i in range(j):
-            if rng.random() < p:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, rows)
+from primewitness.oracles import all_graphs, random_graph  # noqa: F401 (re-exported)
 
 
 def random_prime_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -27,18 +21,6 @@ def random_prime_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
         g = random_graph(rng, n, p)
         if is_prime(g):
             return g
-
-
-def all_graphs(n: int):
-    """Every labeled simple graph on n vertices."""
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for code in range(1 << len(pairs)):
-        rows = [0] * n
-        for b, (i, j) in enumerate(pairs):
-            if (code >> b) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        yield Graph(n, rows)
 
 
 def random_chain(rng: random.Random, g: Graph, length: int) -> tuple[int, ...] | None:
@@ -93,6 +75,17 @@ def substitute(g: Graph, v: int, h: Graph) -> Graph:
     for a, b in h.edges():
         edges.append((len(outer) + a, len(outer) + b))
     return Graph.from_edges(n, edges)
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of g as a tuple s (vertex v maps to s[v]), found by
+    trying all n! permutations; for graphs of up to about 8 vertices."""
+    edges = list(g.edges())
+    return [
+        s
+        for s in itertools.permutations(range(g.n))
+        if all(g.adjacent(s[a], s[b]) for a, b in edges)
+    ]
 
 
 def lex_first_closure(g: Graph) -> frozenset[int] | None:
