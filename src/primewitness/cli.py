@@ -16,11 +16,10 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
-from . import extraction, families, homogeneous
-from .chains import find_chain
+from . import extraction, homogeneous
 from .families import Family, FamilyId, find_induced_copy, generate
 from .graphs import Graph6Error, emit_graph6, parse_graph6
-from .oracles import all_graphs, naive_induced_search, random_graph
+from .oracles import all_graphs, chain_sweep, naive_induced_search, primality_sweep, random_graph
 from .witnesses import ChainWitness, InsufficientSize, NotPrimeError, Witness
 
 DEFAULT_SEED = 20150420
@@ -162,45 +161,6 @@ def cmd_witness(args) -> int:
 # verify: oracle agreement sweeps and the family non-containment matrix.
 # ---------------------------------------------------------------------------
 
-def _verify_primality(max_n: int) -> tuple[int, int, dict[int, int]]:
-    checked = 0
-    bad = 0
-    prime_counts: dict[int, int] = {}
-    for n in range(max_n + 1):
-        count = 0
-        for g in all_graphs(n):
-            checked += 1
-            fast = homogeneous.find_homogeneous_set(g) is None
-            brute = not homogeneous.brute_force_homogeneous(g)
-            if fast != brute:
-                bad += 1
-            if fast and brute:
-                count += 1
-        prime_counts[n] = count
-    return checked, bad, prime_counts
-
-
-def _verify_chain_equivalence(max_n: int) -> tuple[int, int]:
-    checked = 0
-    bad = 0
-    for n in range(3, max_n + 1):
-        for g in all_graphs(n):
-            homsets = homogeneous.brute_force_homogeneous(g)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    for w in range(n):
-                        if w in (u, v):
-                            continue
-                        checked += 1
-                        found = find_chain(g, (u, v), w) is not None
-                        separated = any(
-                            u in s and v in s and w not in s for s in homsets
-                        )
-                        if found != (not separated):
-                            bad += 1
-    return checked, bad
-
-
 _MATRIX_FAMILIES = (
     Family.SUBDIVIDED_STAR,
     Family.LINE_K2N,
@@ -259,29 +219,28 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     failures = 0
 
-    checked, bad, prime_counts = _verify_primality(k)
+    checked = bad = 0
+    prime_counts: dict[int, int] = {}
+    for n in range(k + 1):
+        n_checked, n_bad, prime_counts[n] = primality_sweep(all_graphs(n))
+        checked += n_checked
+        bad += n_bad
     failures += bad
     print(f"primality sweep: {checked} graphs on <= {k} vertices, {bad} disagreements")
     counts = ", ".join(f"{n}: {c}" for n, c in prime_counts.items())
     print(f"labeled graphs with no homogeneous set: {{{counts}}}")
 
     k_chain = min(k, 6)
-    checked, bad = _verify_chain_equivalence(k_chain)
+    checked, bad = chain_sweep(g for n in range(3, k_chain + 1) for g in all_graphs(n))
     failures += bad
     print(
         f"chain reachability sweep: {checked} (graph, pair, target) cases "
         f"on <= {k_chain} vertices, {bad} disagreements"
     )
 
-    spot = 0
-    spot_bad = 0
-    for _ in range(200):
-        g = random_graph(rng, rng.randrange(8, 13))
-        spot += 1
-        fast = homogeneous.find_homogeneous_set(g) is None
-        brute = not homogeneous.brute_force_homogeneous(g)
-        if fast != brute:
-            spot_bad += 1
+    spot, spot_bad, _ = primality_sweep(
+        random_graph(rng, rng.randrange(8, 13)) for _ in range(200)
+    )
     failures += spot_bad
     print(f"seeded spot-check: {spot} graphs on 8..12 vertices, {spot_bad} disagreements")
 

@@ -158,7 +158,9 @@ def _pattern(fid: FamilyId) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Induced-copy search: exact backtracking over bitmask candidate domains.
+# Induced-copy search: exact backtracking over bitmask candidate domains, the
+# one search engine (``_embed``) behind induced copies, pattern automorphisms
+# and isomorphism.
 # Each pattern is compiled once into its search order, the adjacency flags
 # of each depth's vertex to the deeper ones, each depth's degree signature,
 # and each depth's orbit-mates: the deeper vertices to which an automorphism
@@ -189,117 +191,10 @@ def _search_order(pat: Graph) -> list[int]:
     return placed
 
 
-def _stabilizer_orbits(pat: Graph, order: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Per depth k, the vertices w != ``order[k]``, ascending, such that some
-    automorphism of ``pat`` fixes each of ``order[:k]`` and maps ``order[k]``
-    to w.  Exact: each w is kept only when a full automorphism is found."""
-    rows = pat.rows
-    full = (1 << pat.n) - 1
-    crows = [full ^ r ^ (1 << v) for v, r in enumerate(rows)]
-
-    def place(doms: dict[int, int], x: int, y: int) -> dict[int, int] | None:
-        # doms holds the domain of each unplaced vertex; mapping x to y keeps
-        # in the others' domains only what agrees with y's adjacency
-        out = {}
-        for z, d in doms.items():
-            if z != x:
-                d &= rows[y] if (rows[x] >> z) & 1 else crows[y]
-                if not d:
-                    return None
-                out[z] = d
-        return out
-
-    def extends(doms: dict[int, int]) -> bool:
-        if not doms:
-            return True
-        x = min(doms, key=lambda z: doms[z].bit_count())
-        for y in bits(doms[x]):
-            nxt = place(doms, x, y)
-            if nxt is not None and extends(nxt):
-                return True
-        return False
-
-    deg = [r.bit_count() for r in rows]
-    doms = {v: sum(1 << w for w, d in enumerate(deg) if d == deg[v]) for v in range(pat.n)}
-    mates = []
-    for u in order:
-        found = []
-        for w in bits(doms[u] & ~(1 << u)):
-            nxt = place(doms, u, w)
-            if nxt is not None and extends(nxt):
-                found.append(w)
-        mates.append(tuple(found))
-        doms = place(doms, u, u)  # the identity extends, so never None
-    return tuple(mates)
-
-
-@lru_cache(maxsize=512)
-def _compile(pat: Graph) -> tuple[
-    tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple, ...], tuple[tuple[int, ...], ...]
-]:
-    """``(order, flags, sigs, mates)`` for a pattern: the search order; per
-    depth k, a flag for each of ``order[k+1:]``, bit 0 set when it is
-    adjacent to ``order[k]`` and bit 1 when it is one of ``order[k]``'s
-    orbit-mates; per depth, the signature (degree, co-degree, neighbour
-    degrees descending) that a host vertex must dominate to be a candidate;
-    per depth, the orbit-mates of ``order[k]`` (``_stabilizer_orbits``)."""
-    order = tuple(_search_order(pat))
-    mates = _stabilizer_orbits(pat, order)
-    flags = tuple(
-        tuple(pat.adjacent(u, w) | (w in mates[k]) << 1 for w in order[k + 1:])
-        for k, u in enumerate(order)
-    )
-    sigs = tuple(
-        (
-            pat.degree(u),
-            pat.n - 1 - pat.degree(u),
-            tuple(sorted((pat.degree(q) for q in bits(pat.rows[u])), reverse=True)),
-        )
-        for u in order
-    )
-    return order, flags, sigs, mates
-
-
-def find_induced_copy(host: Graph, fid: FamilyId) -> tuple[int, ...] | None:
-    """Exact search for an induced embedding of the family into ``host``.
-
-    Returns host vertices in pattern order, or None when no embedding exists.
-    First match under the fixed search order wins, so results are stable.
-    """
-    pat = _pattern(fid)
-    return find_induced_embedding(host, pat)
-
-
-def find_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
-    """First induced embedding of ``pat`` into ``host``, or None.
-
-    Returns host vertices in pattern order.  The result is the first
-    complete assignment of a backtracking search that places pattern
-    vertices in the fixed order of ``_search_order`` and tries each one's
-    candidates in ascending host index; a candidate must dominate the
-    pattern vertex's degree, co-degree and sorted neighbour degrees, and
-    every placement filters the domains of the vertices still to place.
-    Witness output is pinned to this first match: the search order and the
-    ascending candidate order are part of the output contract, while
-    pruning that only cuts subtrees holding no complete assignment leaves
-    it unchanged.
-
-    Symmetry breaking: when depth k places host vertex v, every orbit-mate
-    w of ``order[k]`` (some automorphism fixing ``order[:k]`` maps
-    ``order[k]`` to w) must go to a host vertex above v.  This keeps the
-    first match phi*, the least embedding in search order: for any
-    automorphism s, phi* o s is an embedding too, so at the first vertex x
-    in search order that s moves, phi*(x) < phi*(s(x)), and every
-    constraint added is of this form.  The constrained search thus walks a
-    subset of the unconstrained tree in the same order, still reaches phi*
-    first, and a miss is still a proof of absence.
-    """
-    n = pat.n
-    if n > host.n:
-        return None
-    if n == 0:
-        return ()
-    order, flags, sigs, mates = _compile(pat)
+def _signature_masks(host: Graph, sigs: tuple[tuple, ...]) -> list[int] | None:
+    """Per depth, the host vertices whose degree, co-degree and sorted
+    neighbour degrees dominate that depth's signature; None when a depth has
+    no candidate.  Each distinct signature's mask is built once."""
     rows = host.rows
     hn = host.n
     deg = [r.bit_count() for r in rows]
@@ -321,12 +216,20 @@ def find_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
         if not mask:
             return None
         masks[sig] = mask
+    return [masks[sig] for sig in sigs]
 
-    full = (1 << hn) - 1
+
+def _embed(rows: tuple[int, ...], flags: tuple, mates: tuple, doms: list[int]) -> list[int] | None:
+    """The host vertex chosen at each depth in the first complete assignment
+    of the backtracking search, or None.  ``rows`` are the host's rows,
+    ``doms`` each depth's initial domain, and ``flags``/``mates`` as in
+    ``_compile``; depths are placed in order, each one's candidates in
+    ascending host index."""
+    full = (1 << len(rows)) - 1
     # filters[v][flag & 1]: the complement row and the row of host vertex v
     filters = [(full ^ r ^ (1 << v), r) for v, r in enumerate(rows)]
-    last = n - 1
-    chosen = [0] * n
+    last = len(doms) - 1
+    chosen = [0] * len(doms)
 
     def dfs(k: int, doms: list[int]) -> bool:
         # doms[i] is the domain of depth k + i
@@ -359,12 +262,126 @@ def find_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
                     return True
         return False
 
-    if not dfs(0, [masks[sig] for sig in sigs]):
+    return chosen if dfs(0, doms) else None
+
+
+def _stabilizer_orbits(
+    pat: Graph, order: tuple[int, ...], adjacency: tuple, sigs: tuple
+) -> tuple[tuple[int, ...], ...]:
+    """Per depth k, the vertices w != ``order[k]``, ascending, such that some
+    automorphism of ``pat`` fixes each of ``order[:k]`` and maps ``order[k]``
+    to w.  Exact: each w is kept only when ``_embed`` finds an embedding of
+    ``pat`` into itself with ``order[:k]`` pinned to itself and ``order[k]``
+    on w, which between graphs of equal order is an automorphism."""
+    doms = _signature_masks(pat, sigs)  # each vertex is its own candidate
+    full = (1 << pat.n) - 1
+    unbroken = ((),) * pat.n
+    mates = []
+    for k, u in enumerate(order):
+        # doms[i] is the domain of depth k + i with order[:k] pinned to itself
+        mates.append(tuple(
+            w for w in bits(doms[0] & ~(1 << u))
+            if _embed(pat.rows, adjacency[k:], unbroken, [1 << w] + doms[1:]) is not None
+        ))
+        row = pat.rows[u]
+        filt = (full ^ row ^ (1 << u), row)
+        doms = [d & filt[a] for d, a in zip(doms[1:], adjacency[k])]
+    return tuple(mates)
+
+
+@lru_cache(maxsize=512)
+def _compile(pat: Graph) -> tuple[
+    tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple, ...], tuple[tuple[int, ...], ...]
+]:
+    """``(order, flags, sigs, mates)`` for a pattern: the search order; per
+    depth k, a flag for each of ``order[k+1:]``, bit 0 set when it is
+    adjacent to ``order[k]`` and bit 1 when it is one of ``order[k]``'s
+    orbit-mates; per depth, the signature (degree, co-degree, neighbour
+    degrees descending) that a host vertex must dominate to be a candidate;
+    per depth, the orbit-mates of ``order[k]`` (``_stabilizer_orbits``)."""
+    order = tuple(_search_order(pat))
+    adjacency = tuple(
+        tuple(int(pat.adjacent(u, w)) for w in order[k + 1:]) for k, u in enumerate(order)
+    )
+    sigs = tuple(
+        (
+            pat.degree(u),
+            pat.n - 1 - pat.degree(u),
+            tuple(sorted((pat.degree(q) for q in bits(pat.rows[u])), reverse=True)),
+        )
+        for u in order
+    )
+    mates = _stabilizer_orbits(pat, order, adjacency, sigs)
+    flags = tuple(
+        tuple(a | (w in mates[k]) << 1 for a, w in zip(adjacency[k], order[k + 1:]))
+        for k in range(len(order))
+    )
+    return order, flags, sigs, mates
+
+
+def find_induced_copy(host: Graph, fid: FamilyId) -> tuple[int, ...] | None:
+    """Exact search for an induced embedding of the family into ``host``.
+
+    Returns host vertices in pattern order, or None when no embedding exists.
+    First match under the fixed search order wins, so results are stable.
+    """
+    pat = _pattern(fid)
+    return find_induced_embedding(host, pat)
+
+
+def find_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
+    """First induced embedding of ``pat`` into ``host``, or None.
+
+    Returns host vertices in pattern order.  The result is the first
+    complete assignment of a backtracking search (``_embed``) that places
+    pattern vertices in the fixed order of ``_search_order`` and tries each
+    one's candidates in ascending host index; a candidate must dominate the
+    pattern vertex's degree, co-degree and sorted neighbour degrees, and
+    every placement filters the domains of the vertices still to place.
+    Witness output is pinned to this first match: the search order and the
+    ascending candidate order are part of the output contract, while
+    pruning that only cuts subtrees holding no complete assignment leaves
+    it unchanged.  The same engine finds the pattern's automorphisms
+    (``_stabilizer_orbits``) and decides isomorphism (``find_isomorphism``).
+
+    Symmetry breaking: when depth k places host vertex v, every orbit-mate
+    w of ``order[k]`` (some automorphism fixing ``order[:k]`` maps
+    ``order[k]`` to w) must go to a host vertex above v.  This keeps the
+    first match phi*, the least embedding in search order: for any
+    automorphism s, phi* o s is an embedding too, so at the first vertex x
+    in search order that s moves, phi*(x) < phi*(s(x)), and every
+    constraint added is of this form.  The constrained search thus walks a
+    subset of the unconstrained tree in the same order, still reaches phi*
+    first, and a miss is still a proof of absence.
+    """
+    n = pat.n
+    if n > host.n:
+        return None
+    if n == 0:
+        return ()
+    order, flags, sigs, mates = _compile(pat)
+    doms = _signature_masks(host, sigs)
+    if doms is None:
+        return None
+    chosen = _embed(host.rows, flags, mates, doms)
+    if chosen is None:
         return None
     assign = [0] * n
     for k, u in enumerate(order):
         assign[u] = chosen[k]
     return tuple(assign)
+
+
+def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
+    """One adjacency-preserving bijection g -> h, or None: between graphs of
+    equal order, an induced embedding of g into h."""
+    if g.n != h.n or g.edge_count() != h.edge_count():
+        return None
+    return find_induced_embedding(h, g)
+
+
+def are_isomorphic(g: Graph, h: Graph) -> bool:
+    return find_isomorphism(g, h) is not None
 
 
 def check_witness(g: Graph, w: Witness | ChainWitness) -> bool:
@@ -418,7 +435,10 @@ def find_witness_any(host: Graph, n: int) -> Witness | ChainWitness | None:
     """
     if n < 3:
         raise ValueError("outcome size must be at least 3")
-    for fam in THEOREM_FAMILY_ORDER:
+    # every theorem family has 2n or 2n + 1 vertices; none fits a smaller
+    # host, so none is built for it
+    fams = THEOREM_FAMILY_ORDER if 2 * n <= host.n else ()
+    for fam in fams:
         for comp in (False, True):
             fid = FamilyId(fam, n, comp)
             if _pattern(fid).n > host.n:

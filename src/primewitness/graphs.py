@@ -1,5 +1,5 @@
 """Immutable bitset graphs: construction, complement, induced subgraphs,
-small-graph isomorphism, and graph6 interchange.
+and graph6 interchange.
 
 Vertices are dense indices 0..n-1.  Adjacency is one Python int per vertex
 (bit j of ``rows[v]`` set iff v~j), which keeps set operations on
@@ -146,94 +146,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
                 row |= 1 << j
         rows.append(row)
     return Graph._trusted(len(back), rows), back
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism on small graphs: 1-WL color refinement, then backtracking.
-# ---------------------------------------------------------------------------
-
-def _refine_colors(g: Graph) -> tuple[int, ...]:
-    colors = [g.degree(v) for v in range(g.n)]
-    for _ in range(g.n):
-        sigs = [
-            (colors[v], tuple(sorted(colors[w] for w in bits(g.rows[v]))))
-            for v in range(g.n)
-        ]
-        table: dict[tuple, int] = {}
-        new = []
-        for s in sorted(set(sigs)):
-            table[s] = len(table)
-        for v in range(g.n):
-            new.append(table[sigs[v]])
-        if new == colors:
-            break
-        colors = new
-    return tuple(colors)
-
-
-def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
-    """One adjacency-preserving bijection g -> h, or None.
-
-    Intended for test-scale graphs (roughly <= 16 vertices); larger inputs
-    are permitted but may be slow.
-    """
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return None
-    cg = _refine_colors(g)
-    ch = _refine_colors(h)
-    if sorted(cg) != sorted(ch):
-        return None
-    color_masks = {c: 0 for c in set(ch)}
-    for v, c in enumerate(ch):
-        color_masks[c] |= 1 << v
-
-    n = g.n
-    mapping = [-1] * n
-    used = 0
-
-    def order_next(placed: list[int]) -> int:
-        best = -1
-        best_key = None
-        placed_set = set(placed)
-        for v in range(n):
-            if v in placed_set:
-                continue
-            anchored = sum(1 for w in bits(g.rows[v]) if w in placed_set)
-            key = (-anchored, -g.degree(v), v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = v
-        return best
-
-    order: list[int] = []
-    for _ in range(n):
-        order.append(order_next(order))
-
-    def search(k: int, used: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        cand = color_masks.get(cg[v], 0) & ~used
-        for w in bits(cand):
-            ok = True
-            for u in order[:k]:
-                if g.adjacent(v, u) != h.adjacent(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                if search(k + 1, used | (1 << w)):
-                    return True
-                mapping[v] = -1
-        return False
-
-    if search(0, 0):
-        return tuple(mapping)
-    return None
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return find_isomorphism(g, h) is not None
 
 
 # ---------------------------------------------------------------------------

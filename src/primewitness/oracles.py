@@ -1,11 +1,14 @@
 """Independent oracles shared by ``primewitness verify`` and the test suite:
-exhaustive and seeded random graph sampling, and a plain induced-copy search
-that uses none of the fast search's filters."""
+exhaustive and seeded random graph sampling, a plain induced-copy search
+that uses none of the fast search's filters, and the sweeps that count where
+primality and chain search disagree with brute force."""
 
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
+from . import chains, homogeneous
 from .graphs import Graph
 
 
@@ -58,3 +61,39 @@ def naive_induced_search(host: Graph, pat: Graph) -> bool:
         return False
 
     return rec(0, 0)
+
+
+def primality_sweep(graphs: Iterable[Graph]) -> tuple[int, int, int]:
+    """``(checked, disagreements, prime)`` over ``graphs``: whether
+    ``find_homogeneous_set`` finds no set, against brute-force enumeration of
+    the homogeneous sets; ``prime`` counts the graphs both call prime."""
+    checked = bad = prime = 0
+    for g in graphs:
+        checked += 1
+        fast = homogeneous.find_homogeneous_set(g) is None
+        brute = not homogeneous.brute_force_homogeneous(g)
+        if fast != brute:
+            bad += 1
+        elif fast:
+            prime += 1
+    return checked, bad, prime
+
+
+def chain_sweep(graphs: Iterable[Graph]) -> tuple[int, int]:
+    """``(checked, disagreements)`` over every graph, pair u < v and target w
+    outside it: ``find_chain`` from (u, v) must reach w exactly when no
+    homogeneous set holds u and v but not w."""
+    checked = bad = 0
+    for g in graphs:
+        homsets = homogeneous.brute_force_homogeneous(g)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                for w in range(g.n):
+                    if w in (u, v):
+                        continue
+                    checked += 1
+                    found = chains.find_chain(g, (u, v), w) is not None
+                    separated = any(u in s and v in s and w not in s for s in homsets)
+                    if found == separated:
+                        bad += 1
+    return checked, bad

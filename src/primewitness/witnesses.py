@@ -50,6 +50,15 @@ class ChainWitness:
         }
 
 
+def _show(value) -> str:
+    """``str(value)``, or ``>=2^B`` (the lower bound ``Huge`` prints) for an
+    int with too many digits for Python to convert to decimal."""
+    try:
+        return str(value)
+    except ValueError:
+        return f">=2^{value.bit_length() - 1}"
+
+
 class InsufficientSize(Exception):
     """A pipeline stage ran out of vertices.
 
@@ -60,7 +69,7 @@ class InsufficientSize(Exception):
     """
 
     def __init__(self, stage: str, needed, had: int, trace: tuple[str, ...] = ()):
-        super().__init__(f"stage {stage}: needed {needed}, had {had}")
+        super().__init__(f"stage {stage}: needed {_show(needed)}, had {had}")
         self.stage = stage
         self.needed = needed
         self.had = had
@@ -70,7 +79,7 @@ class InsufficientSize(Exception):
         return InsufficientSize(self.stage, self.needed, self.had, tuple(stages) + self.trace)
 
     def to_json(self) -> dict:
-        out = {"stage": self.stage, "needed": str(self.needed), "had": self.had}
+        out = {"stage": self.stage, "needed": _show(self.needed), "had": self.had}
         if self.trace:
             out["trace"] = list(self.trace)
         return out

@@ -17,7 +17,7 @@ import itertools
 import random
 
 from primewitness import extraction as ex
-from primewitness.chains import chain_induces_prime, find_chain, trim_chain_to_prime
+from primewitness.chains import chain_induces_prime, trim_chain_to_prime
 from primewitness.families import Family, FamilyId, check_witness, find_induced_copy, generate
 from primewitness.graphs import (
     Graph,
@@ -26,7 +26,8 @@ from primewitness.graphs import (
     induced_subgraph,
     parse_graph6,
 )
-from primewitness.homogeneous import brute_force_homogeneous, find_homogeneous_set, is_prime
+from primewitness.homogeneous import is_prime
+from primewitness.oracles import chain_sweep, primality_sweep
 from primewitness.witnesses import InsufficientSize, Witness
 
 from test_extraction import MATCHING_CASE_FAMILIES, matching_config
@@ -40,19 +41,13 @@ def report(name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_primality_oracle_agreement():
-    disagreements = 0
-    checked = 0
-    for n in range(7):
-        for g in all_graphs(n):
-            checked += 1
-            if (find_homogeneous_set(g) is None) != (not brute_force_homogeneous(g)):
-                disagreements += 1
+    checked, disagreements, _ = primality_sweep(g for n in range(7) for g in all_graphs(n))
     rng = random.Random(101)
-    for _ in range(100_000):
-        g = random_graph(rng, 7)
-        checked += 1
-        if (find_homogeneous_set(g) is None) != (not brute_force_homogeneous(g)):
-            disagreements += 1
+    rand_checked, rand_disagreements, _ = primality_sweep(
+        random_graph(rng, 7) for _ in range(100_000)
+    )
+    checked += rand_checked
+    disagreements += rand_disagreements
     report(
         "1 primality-oracle-agreement",
         disagreements == 0,
@@ -61,21 +56,7 @@ def test_criterion_1_primality_oracle_agreement():
 
 
 def test_criterion_2_chain_reachability_equivalence():
-    disagreements = 0
-    checked = 0
-    for n in range(3, 6):
-        for g in all_graphs(n):
-            homsets = brute_force_homogeneous(g)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    for w in range(n):
-                        if w in (u, v):
-                            continue
-                        checked += 1
-                        found = find_chain(g, (u, v), w) is not None
-                        separated = any(u in s and v in s and w not in s for s in homsets)
-                        if found == separated:
-                            disagreements += 1
+    checked, disagreements = chain_sweep(g for n in range(3, 6) for g in all_graphs(n))
     report(
         "2 chain-reachability-equivalence",
         disagreements == 0,

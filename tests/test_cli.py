@@ -105,6 +105,18 @@ def test_witness_insufficient(capsys, monkeypatch):
     assert set(payload) >= {"stage", "needed", "had"}
 
 
+def test_witness_insufficient_huge_bound(capsys, monkeypatch):
+    # the independent-set Ramsey bound at n = 895 has 14,297 bits, more
+    # decimal digits than Python converts, so it prints as a lower bound
+    from primewitness.graphs import Graph
+
+    code, out, err = run_cli(
+        capsys, ["witness", "--n", "895"], emit_graph6(Graph.path(5)) + "\n", monkeypatch
+    )
+    assert code == 0, err
+    assert out.splitlines() == ["insufficient stage=independent-set:ramsey needed=>=2^14296 had=2"]
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 def test_witness_summary_counts(capsys, monkeypatch, as_json):
     from primewitness.graphs import Graph

@@ -9,6 +9,7 @@ from primewitness.families import (
     THEOREM_FAMILY_ORDER,
     Family,
     FamilyId,
+    are_isomorphic,
     check_witness,
     find_induced_copy,
     find_induced_embedding,
@@ -16,7 +17,7 @@ from primewitness.families import (
     find_witness_any,
     generate,
 )
-from primewitness.graphs import Graph, are_isomorphic, complement
+from primewitness.graphs import Graph, complement
 from primewitness.homogeneous import is_prime
 from primewitness.witnesses import ChainWitness, Witness
 
@@ -328,3 +329,13 @@ def test_witness_revalidation_is_not_an_assert(monkeypatch):
         find_witness_any(host, 4)
     with pytest.raises(RuntimeError, match="re-validation"):
         find_witness_any(Graph.path(9), 4)
+
+
+def test_witness_search_skips_families_larger_than_host(monkeypatch):
+    # every theorem family has 2n or 2n + 1 vertices, so no pattern is
+    # generated for a host with fewer than 2n
+    def refuse(fid):
+        raise AssertionError(f"generated {fid} for a smaller host")
+
+    monkeypatch.setattr(families, "generate", refuse)
+    assert find_witness_any(Graph.path(5), 500) is None

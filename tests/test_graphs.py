@@ -3,14 +3,12 @@ import random
 
 import pytest
 
-from primewitness.families import Family, FamilyId, generate
+from primewitness.families import Family, FamilyId, are_isomorphic, find_isomorphism, generate
 from primewitness.graphs import (
     Graph,
     Graph6Error,
-    are_isomorphic,
     complement,
     emit_graph6,
-    find_isomorphism,
     induced_subgraph,
     parse_graph6,
 )
@@ -111,6 +109,21 @@ def _brute_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def _relabel(g: Graph, perm: list[int]) -> Graph:
+    rows = [0] * g.n
+    for i, j in g.edges():
+        rows[perm[i]] |= 1 << perm[j]
+        rows[perm[j]] |= 1 << perm[i]
+    return Graph(g.n, rows)
+
+
+def _assert_isomorphism(g: Graph, h: Graph, m) -> None:
+    # a bijection that preserves adjacency and non-adjacency
+    assert sorted(m) == list(range(h.n))
+    for i, j in itertools.combinations(range(g.n), 2):
+        assert g.adjacent(i, j) == h.adjacent(m[i], m[j])
+
+
 def test_isomorphism_matches_permutation_oracle():
     rng = random.Random(3)
     for _ in range(120):
@@ -119,14 +132,36 @@ def test_isomorphism_matches_permutation_oracle():
         if rng.random() < 0.5:
             perm = list(range(n))
             rng.shuffle(perm)
-            rows = [0] * n
-            for i, j in g.edges():
-                rows[perm[i]] |= 1 << perm[j]
-                rows[perm[j]] |= 1 << perm[i]
-            h = Graph(n, rows)
+            h = _relabel(g, perm)
         else:
             h = random_graph(rng, n)
         assert are_isomorphic(g, h) == _brute_isomorphic(g, h)
+        m = find_isomorphism(g, h)
+        if m is not None:
+            _assert_isomorphism(g, h, m)
+
+    assert find_isomorphism(Graph.empty(0), Graph.empty(0)) == ()
+    # equal order, one vertex pair toggled: unequal size
+    for n in range(2, 8):
+        g = random_graph(rng, n)
+        i, j = rng.sample(range(n), 2)
+        rows = list(g.rows)
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
+        h = Graph(n, rows)
+        assert not _brute_isomorphic(g, h)
+        assert find_isomorphism(g, h) is None and find_isomorphism(h, g) is None
+
+    # random relabellings up to 16 vertices, symmetric graphs among them
+    graphs = [Graph.empty(16), Graph.complete(16), Graph.cycle(16), Graph.path(16)]
+    graphs += [random_graph(rng, n, p) for n in range(8, 17) for p in (0.2, 0.5, 0.8)]
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = _relabel(g, perm)
+        m = find_isomorphism(g, h)
+        assert m is not None
+        _assert_isomorphism(g, h, m)
 
 
 # graph6 -------------------------------------------------------------------
