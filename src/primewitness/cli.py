@@ -4,6 +4,11 @@ extraction, and the batch verification harness.
 Streaming protocol: graph6 lines in, one verdict or JSON object per line
 out, so the tool composes with external graph catalogs.  Exit codes: 0
 success, 1 data error, 2 usage error.
+
+``prime`` prints ``prime``, ``homogeneous {...}`` with the set found, or
+``vacuous`` for a graph on at most 2 vertices: such a graph has no
+homogeneous set only because it is too small to hold one, and ``is_prime``
+reports it non-prime.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ def cmd_prime(args) -> int:
         except Graph6Error as e:
             print(f"line {lineno}: {e}", file=sys.stderr)
             status = 1
+            continue
+        if g.n <= 2:
+            print("vacuous")
             continue
         hom = homogeneous.find_homogeneous_set(g)
         if hom is None:

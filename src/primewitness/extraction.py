@@ -239,28 +239,6 @@ class EdgeColoring:
         return self.palette[self.color_id(i, j)]
 
 
-def _find_clique(rows: Sequence[int], size: int, avail: int):
-    """Lexicographically first clique of the given size, as a mask, or None."""
-    if size == 0:
-        return 0
-
-    def rec(cand: int, need: int) -> int | None:
-        while cand:
-            if cand.bit_count() < need:
-                return None
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            if need == 1:
-                return low
-            sub = rec(cand & rows[v], need - 1)
-            if sub is not None:
-                return low | sub
-        return None
-
-    return rec(avail, size)
-
-
 def ramsey_monochromatic(
     coloring: EdgeColoring, targets: Sequence[int]
 ) -> tuple[int, frozenset[int]] | None:
@@ -274,25 +252,22 @@ def ramsey_monochromatic(
     if len(targets) != k:
         raise ValueError(f"need {k} targets, got {len(targets)}")
     m = coloring.m
-    full = (1 << m) - 1
     for c, t in enumerate(targets):
         if t < 0:
             raise ValueError("targets must be non-negative")
-        if t == 0:
-            return c, frozenset()
         if t > m:
             continue
-        if t == 1:
-            return c, frozenset({0})
         rows = [0] * m
         for i in range(m):
             for j in range(i + 1, m):
                 if coloring.color_id(i, j) == c:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
-        found = _find_clique(rows, t, full)
+        # each vertex of K_t has every later one as an orbit-mate, so the
+        # first embedding is ascending: the lexicographically first clique
+        found = fam.find_induced_embedding(Graph._trusted(m, rows), Graph.complete(t))
         if found is not None:
-            return c, frozenset(bits(found))
+            return c, frozenset(found)
     return None
 
 

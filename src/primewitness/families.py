@@ -9,6 +9,8 @@ usual half-graph convention: a_i is adjacent to b_j iff i >= j.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from . import chains
@@ -159,8 +161,8 @@ def _pattern(fid: FamilyId) -> Graph:
 
 # ---------------------------------------------------------------------------
 # Induced-copy search: exact backtracking over bitmask candidate domains, the
-# one search engine (``_embed``) behind induced copies, pattern automorphisms
-# and isomorphism.
+# one search engine (``_embed``) behind induced copies, pattern automorphisms,
+# isomorphism, induced paths and Ramsey cliques.
 # Each pattern is compiled once into its search order, the adjacency flags
 # of each depth's vertex to the deeper ones, each depth's degree signature,
 # and each depth's orbit-mates: the deeper vertices to which an automorphism
@@ -219,24 +221,37 @@ def _signature_masks(host: Graph, sigs: tuple[tuple, ...]) -> list[int] | None:
     return [masks[sig] for sig in sigs]
 
 
-def _embed(rows: tuple[int, ...], flags: tuple, mates: tuple, doms: list[int]) -> list[int] | None:
+class _OutOfNodes(Exception):
+    """Raised inside ``_embed`` when its node cap runs out."""
+
+
+def _embed(
+    rows: tuple[int, ...], flags: tuple, mates: tuple, doms: list[int], cap: float = math.inf
+) -> list[int] | None:
     """The host vertex chosen at each depth in the first complete assignment
     of the backtracking search, or None.  ``rows`` are the host's rows,
     ``doms`` each depth's initial domain, and ``flags``/``mates`` as in
     ``_compile``; depths are placed in order, each one's candidates in
-    ascending host index."""
+    ascending host index.  The search expands at most ``cap`` partial
+    assignments below the last depth; when it needs more it returns None,
+    so with a finite cap a None is not a proof of absence."""
     full = (1 << len(rows)) - 1
     # filters[v][flag & 1]: the complement row and the row of host vertex v
     filters = [(full ^ r ^ (1 << v), r) for v, r in enumerate(rows)]
     last = len(doms) - 1
     chosen = [0] * len(doms)
+    nodes = 0
 
     def dfs(k: int, doms: list[int]) -> bool:
         # doms[i] is the domain of depth k + i
+        nonlocal nodes
         dom = doms[0]
         if k == last:
             chosen[k] = (dom & -dom).bit_length() - 1
             return True
+        nodes += 1
+        if nodes > cap:
+            raise _OutOfNodes
         flag = flags[k]
         breaking = mates[k]
         tail = doms[1:]
@@ -262,7 +277,10 @@ def _embed(rows: tuple[int, ...], flags: tuple, mates: tuple, doms: list[int]) -
                     return True
         return False
 
-    return chosen if dfs(0, doms) else None
+    try:
+        return chosen if dfs(0, doms) else None
+    except _OutOfNodes:
+        return None
 
 
 def _stabilizer_orbits(
@@ -289,8 +307,7 @@ def _stabilizer_orbits(
     return tuple(mates)
 
 
-@lru_cache(maxsize=512)
-def _compile(pat: Graph) -> tuple[
+def _compile_pattern(pat: Graph) -> tuple[
     tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple, ...], tuple[tuple[int, ...], ...]
 ]:
     """``(order, flags, sigs, mates)`` for a pattern: the search order; per
@@ -319,6 +336,12 @@ def _compile(pat: Graph) -> tuple[
     return order, flags, sigs, mates
 
 
+# Only patterns that recur go through the cache: family patterns and Ramsey
+# cliques.  Isomorphism inputs rarely repeat, so ``find_isomorphism``
+# compiles outside it and cannot evict them.
+_compile = lru_cache(maxsize=512)(_compile_pattern)
+
+
 def find_induced_copy(host: Graph, fid: FamilyId) -> tuple[int, ...] | None:
     """Exact search for an induced embedding of the family into ``host``.
 
@@ -342,7 +365,9 @@ def find_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
     ascending candidate order are part of the output contract, while
     pruning that only cuts subtrees holding no complete assignment leaves
     it unchanged.  The same engine finds the pattern's automorphisms
-    (``_stabilizer_orbits``) and decides isomorphism (``find_isomorphism``).
+    (``_stabilizer_orbits``), decides isomorphism (``find_isomorphism``),
+    finds induced paths (``_find_induced_path``) and, with K_t as the
+    pattern, Ramsey cliques (``extraction.ramsey_monochromatic``).
 
     Symmetry breaking: when depth k places host vertex v, every orbit-mate
     w of ``order[k]`` (some automorphism fixing ``order[:k]`` maps
@@ -354,19 +379,23 @@ def find_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
     subset of the unconstrained tree in the same order, still reaches phi*
     first, and a miss is still a proof of absence.
     """
-    n = pat.n
-    if n > host.n:
+    if pat.n > host.n:
         return None
-    if n == 0:
+    return _first_embedding(host, _compile(pat))
+
+
+def _first_embedding(host: Graph, compiled: tuple) -> tuple[int, ...] | None:
+    """``find_induced_embedding`` for a pattern compiled as by ``_compile``."""
+    order, flags, sigs, mates = compiled
+    if not order:
         return ()
-    order, flags, sigs, mates = _compile(pat)
     doms = _signature_masks(host, sigs)
     if doms is None:
         return None
     chosen = _embed(host.rows, flags, mates, doms)
     if chosen is None:
         return None
-    assign = [0] * n
+    assign = [0] * len(order)
     for k, u in enumerate(order):
         assign[u] = chosen[k]
     return tuple(assign)
@@ -377,7 +406,7 @@ def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     equal order, an induced embedding of g into h."""
     if g.n != h.n or g.edge_count() != h.edge_count():
         return None
-    return find_induced_embedding(h, g)
+    return _first_embedding(h, _compile_pattern(g))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -441,8 +470,6 @@ def find_witness_any(host: Graph, n: int) -> Witness | ChainWitness | None:
     for fam in fams:
         for comp in (False, True):
             fid = FamilyId(fam, n, comp)
-            if _pattern(fid).n > host.n:
-                continue
             emb = find_induced_copy(host, fid)
             if emb is not None:
                 return require_valid(
@@ -454,16 +481,24 @@ def find_witness_any(host: Graph, n: int) -> Witness | ChainWitness | None:
     return None
 
 
-def find_prime_chain(host: Graph, n: int, max_pairs: int | None = None) -> tuple[int, ...] | None:
+# find_prime_chain tries every seed pair on hosts of up to ALL_PAIRS_MAX_N
+# vertices and the first PAIR_CAP pairs on larger ones; the induced-path
+# search gives up after PATH_NODE_BUDGET search nodes.  Outputs depend on
+# all three.
+ALL_PAIRS_MAX_N = 64
+PAIR_CAP = 512
+PATH_NODE_BUDGET = 200_000
+
+
+def find_prime_chain(host: Graph, n: int) -> tuple[int, ...] | None:
     """Greedy search for a chain of length exactly n inducing a prime subgraph.
 
     First looks for an induced path with n edges (the simplest prime chain),
     then runs the constructive chain search from vertex pairs in
     lexicographic order, walking targets farthest-first and trimming longer
     chains down to length n (trims preserve prime induction).  Greedy, not
-    exhaustive: a None is not a proof of absence.  Large hosts are capped at
-    ``max_pairs`` seed pairs (default: all pairs up to 64 vertices, 512
-    beyond).
+    exhaustive: a None is not a proof of absence.  Hosts of more than
+    ``ALL_PAIRS_MAX_N`` vertices try only the first ``PAIR_CAP`` seed pairs.
     """
     if host.n < n + 1:
         return None
@@ -472,66 +507,35 @@ def find_prime_chain(host: Graph, n: int, max_pairs: int | None = None) -> tuple
         ok, _ = chains.validate_chain(host, path)
         if ok and chains.chain_induces_prime(host, path):
             return path
-    if max_pairs is None:
-        max_pairs = host.n * (host.n - 1) // 2 if host.n <= 64 else 512
-    tried = 0
-    for u in range(host.n):
-        for v in range(u + 1, host.n):
-            tried += 1
-            if tried > max_pairs:
-                return None
-            seq = _prime_chain_from_pair(host, u, v, n)
-            if seq is not None:
-                return seq
+    pairs = itertools.combinations(range(host.n), 2)
+    if host.n > ALL_PAIRS_MAX_N:
+        pairs = itertools.islice(pairs, PAIR_CAP)
+    for u, v in pairs:
+        seq = _prime_chain_from_pair(host, u, v, n)
+        if seq is not None:
+            return seq
     return None
 
 
-def _find_induced_path(host: Graph, n: int, node_budget: int = 200_000) -> tuple[int, ...] | None:
-    """Backtracking search for an induced path with n edges, lowest start and
-    extension first; gives up after ``node_budget`` search nodes."""
-    rows = host.rows
-    budget = node_budget
-    path: list[int] = []
-
-    def extend(used: int, blocked: int) -> bool:
-        nonlocal budget
-        if len(path) == n + 1:
-            return True
-        budget -= 1
-        if budget < 0:
-            return False
-        cand = rows[path[-1]] & ~used & ~blocked
-        for w in bits(cand):
-            path.append(w)
-            if extend(used | (1 << w), blocked | (rows[path[-2]] & ~(1 << w))):
-                return True
-            path.pop()
-            if budget < 0:
-                return False
-        return False
-
-    for start in range(host.n):
-        path = [start]
-        if extend(1 << start, 0) and len(path) == n + 1:
-            return tuple(path)
-        if budget < 0:
-            return None
-    return None
+def _find_induced_path(host: Graph, n: int) -> tuple[int, ...] | None:
+    """First induced path with n edges, lowest start and extension first, or
+    None; gives up after ``PATH_NODE_BUDGET`` search nodes.  Pattern vertex
+    d is placed at depth d: adjacent to the next one, non-adjacent to the
+    later ones."""
+    flags = tuple(tuple(int(w == d + 1) for w in range(d + 1, n + 1)) for d in range(n + 1))
+    chosen = _embed(
+        host.rows, flags, ((),) * (n + 1), [host.vertex_mask()] * (n + 1), PATH_NODE_BUDGET
+    )
+    return None if chosen is None else tuple(chosen)
 
 
 def _prime_chain_from_pair(host: Graph, u: int, v: int, n: int) -> tuple[int, ...] | None:
     imask = (1 << u) | (1 << v)
     parent = chains._aux_parents(host, imask)
+    # parent is in BFS order, so each vertex's parent comes before it
     depth: dict[int, int] = {}
-
-    def _depth(t: int) -> int:
-        if t not in depth:
-            p = parent[t]
-            depth[t] = 1 if p is None else _depth(p) + 1
-        return depth[t]
-
-    for t in parent:
-        _depth(t)
+    for t, p in parent.items():
+        depth[t] = 1 if p is None else depth[p] + 1
     # chain length to t is its auxiliary depth + 1; walk farthest-first
     targets = sorted(
         (t for t, d in depth.items() if d + 1 >= n),

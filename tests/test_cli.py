@@ -52,7 +52,7 @@ def test_prime_tiny_graphs(capsys, monkeypatch):
     # 0, 1 and 2 vertices (the last two with and without the edge)
     code, out, _ = run_cli(capsys, ["prime"], "?\n@\nA_\nA?\n", monkeypatch)
     assert code == 0
-    assert out.splitlines() == ["prime"] * 4
+    assert out.splitlines() == ["vacuous"] * 4
 
 
 def test_prime_empty_input(capsys, monkeypatch):

@@ -31,14 +31,12 @@ def test_pentagon_has_no_mono_triangle():
     assert ex.ramsey_monochromatic(col, (3, 3)) is None
 
 
-def _exhaustive_mono(col: ex.EdgeColoring, targets) -> bool:
+def _first_mono(col: ex.EdgeColoring, targets):
     for c, t in enumerate(targets):
-        if t > col.m:
-            continue
         for sub in itertools.combinations(range(col.m), t):
             if all(col.color_id(i, j) == c for i, j in itertools.combinations(sub, 2)):
-                return True
-    return False
+                return c, frozenset(sub)
+    return None
 
 
 def test_ramsey_matches_exhaustive_enumeration():
@@ -53,11 +51,27 @@ def test_ramsey_matches_exhaustive_enumeration():
         col = ex.EdgeColoring.from_function(m, tuple(range(k)), lambda i, j: colors[(i, j)])
         targets = tuple(rng.randrange(2, 5) for _ in range(k))
         found = ex.ramsey_monochromatic(col, targets)
-        assert (found is not None) == _exhaustive_mono(col, targets)
+        assert (found is not None) == (_first_mono(col, targets) is not None)
         if found is not None:
             c, s = found
             assert len(s) == targets[c]
             assert all(col.color_id(i, j) == c for i, j in itertools.combinations(sorted(s), 2))
+
+
+def test_ramsey_returns_lexicographically_first_clique():
+    # palette order first, then the first clique in itertools.combinations
+    # order; targets of 0, 1 and more than m included
+    rng = random.Random(41)
+    for _ in range(300):
+        m = rng.randrange(0, 10)
+        k = rng.choice([1, 2, 3])
+        colors = {
+            (i, j): rng.randrange(k)
+            for i, j in itertools.combinations(range(m), 2)
+        }
+        col = ex.EdgeColoring.from_function(m, tuple(range(k)), lambda i, j: colors[(i, j)])
+        targets = tuple(rng.randrange(0, 7) for _ in range(k))
+        assert ex.ramsey_monochromatic(col, targets) == _first_mono(col, targets), (m, colors, targets)
 
 
 def test_coloring_validates_palette():

@@ -21,7 +21,7 @@ from primewitness.graphs import Graph, complement
 from primewitness.homogeneous import is_prime
 from primewitness.witnesses import ChainWitness, Witness
 
-from util import automorphisms, random_graph, reference_induced_embedding
+from util import automorphisms, random_graph, reference_induced_embedding, reference_induced_path
 
 
 def test_family_id_parsing():
@@ -286,6 +286,50 @@ def test_prime_chain_search_on_cycle():
     assert seq is not None and len(seq) == 6
     assert validate_chain(c7, seq) == (True, None)
     assert chain_induces_prime(c7, seq)
+
+
+def test_induced_path_matches_reference_search():
+    # the engine walks a subset of the reference's nodes in the same order,
+    # so wherever the reference stays within the budget the results agree
+    rng = random.Random(73)
+    outcomes = {"found": 0, "absent": 0, "over budget": 0}
+    for _ in range(200):
+        host = random_graph(rng, rng.randrange(4, 71), rng.uniform(0.05, 0.95))
+        n = rng.randrange(3, 12)
+        ref, in_budget = reference_induced_path(host, n, families.PATH_NODE_BUDGET)
+        if not in_budget:
+            outcomes["over budget"] += 1
+            continue
+        assert families._find_induced_path(host, n) == ref, (host.rows, n)
+        outcomes["found" if ref is not None else "absent"] += 1
+    assert all(outcomes.values()), outcomes
+
+
+def test_induced_path_budget(monkeypatch):
+    # P_12 holds one induced path with 11 edges; the search expands depths
+    # 0..10, one node each, and places the last vertex without expanding
+    host = Graph.path(12)
+    monkeypatch.setattr(families, "PATH_NODE_BUDGET", 11)
+    assert families._find_induced_path(host, 11) == tuple(range(12))
+    assert reference_induced_path(host, 11, 11) == (tuple(range(12)), True)
+    monkeypatch.setattr(families, "PATH_NODE_BUDGET", 10)
+    assert families._find_induced_path(host, 11) is None
+    assert reference_induced_path(host, 11, 10) == (None, False)
+
+
+def test_isomorphism_inputs_do_not_evict_compiled_patterns():
+    # isomorphism inputs rarely recur, so they are compiled outside the
+    # cache that keeps family patterns
+    rng = random.Random(61)
+    host = random_graph(rng, 12)
+    fid = FamilyId(Family.HALF_GRAPH, 4)
+    find_induced_copy(host, fid)
+    for _ in range(600):
+        g = random_graph(rng, 10)
+        assert are_isomorphic(g, g)
+    misses = families._compile.cache_info().misses
+    find_induced_copy(host, fid)
+    assert families._compile.cache_info().misses == misses
 
 
 def test_witness_chain_on_long_path():

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: random chain growth, the substitution
 construction, automorphisms by brute force, and the references that
-``find_homogeneous_set`` (all-pairs closure scan) and
-``find_induced_embedding`` (plain backtracking) must agree with.  Graph
+``find_homogeneous_set`` (all-pairs closure scan),
+``find_induced_embedding`` (plain backtracking) and the induced-path search
+(the hand-written path search with its node budget) must agree with.  Graph
 sampling and exhaustive enumeration are the library's oracles, re-exported
 here."""
 
@@ -177,3 +178,39 @@ def reference_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | No
     if dfs(0, domains):
         return tuple(assign)
     return None
+
+
+def reference_induced_path(host: Graph, n: int, node_budget: int) -> tuple[tuple[int, ...] | None, bool]:
+    """Reference for ``families._find_induced_path``: the plain backtracking
+    search it replaced, lowest start and extension first, counting one node
+    per partial path it extends.  Returns the first induced path with n
+    edges or None, and whether the search stayed within ``node_budget``
+    nodes (if not, the None is not a proof of absence)."""
+    rows = host.rows
+    budget = node_budget
+    path: list[int] = []
+
+    def extend(used: int, blocked: int) -> bool:
+        nonlocal budget
+        if len(path) == n + 1:
+            return True
+        budget -= 1
+        if budget < 0:
+            return False
+        cand = rows[path[-1]] & ~used & ~blocked
+        for w in bits(cand):
+            path.append(w)
+            if extend(used | (1 << w), blocked | (rows[path[-2]] & ~(1 << w))):
+                return True
+            path.pop()
+            if budget < 0:
+                return False
+        return False
+
+    for start in range(host.n):
+        path = [start]
+        if extend(1 << start, 0):
+            return tuple(path), True
+        if budget < 0:
+            return None, False
+    return None, True
