@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -136,9 +137,21 @@ def _witness_results(items, jobs: int):
             yield window.popleft().result()
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where the platform cannot
+    tell)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_witness(args) -> int:
     if args.n < 3:
         return _fail_usage("--n must be at least 3")
+    if args.jobs < 1:
+        return _fail_usage("--jobs must be at least 1")
+    # the pool starts every worker at once, so no more than there are CPUs
+    jobs = min(args.jobs, _usable_cpus())
     started = time.monotonic()
     items = (
         (lineno, line.strip(), args.n, args.json)
@@ -147,7 +160,7 @@ def cmd_witness(args) -> int:
     )
     status = 0
     totals = {"witness": 0, "chain": 0, "insufficient": 0, "nonprime": 0, "error": 0}
-    for kind, out, err in _witness_results(items, args.jobs):
+    for kind, out, err in _witness_results(items, jobs):
         totals[kind] += 1
         if err:
             print(err, file=sys.stderr, flush=True)
@@ -280,7 +293,10 @@ def main(argv: list[str] | None = None) -> int:
     p_wit = sub.add_parser("witness", help="unavoidable-outcome witnesses for graph6 input")
     p_wit.add_argument("--n", type=int, required=True, help="outcome size (>= 3)")
     p_wit.add_argument("--json", action="store_true", help="emit JSON lines")
-    p_wit.add_argument("--jobs", type=int, default=1, help="parallel workers (order preserved)")
+    p_wit.add_argument(
+        "--jobs", type=int, default=1,
+        help="parallel workers (>= 1, capped at the usable CPUs; order preserved)",
+    )
     p_wit.set_defaults(func=cmd_witness, input=None)
 
     p_ver = sub.add_parser("verify", help="oracle agreement sweeps and family matrix")

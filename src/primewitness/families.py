@@ -166,12 +166,13 @@ def _pattern(fid: FamilyId) -> Graph:
 # Each pattern is compiled once into its search order, the adjacency flags
 # of each depth's vertex to the deeper ones, each depth's degree signature,
 # and each depth's orbit-mates: the deeper vertices to which an automorphism
-# fixing the shallower ones maps it.  Per call, the host's degree
-# profile is built once and every distinct signature's candidate mask once;
-# the search then keeps one domain per depth and filters the deeper ones
-# with the chosen host vertex's row or complement row.  An orbit-mate's
-# domain is also cut to host vertices above the chosen one, so the search
-# does not walk the relabellings of a partial copy by pattern automorphisms.
+# fixing the shallower ones maps it.  The host's degree profile is built
+# once per host (``_degree_profile``) and every distinct signature's
+# candidate mask once per call; the search then keeps one domain per depth
+# and filters the deeper ones with the chosen host vertex's row or
+# complement row.  An orbit-mate's domain is also cut to host vertices above
+# the chosen one, so the search does not walk the relabellings of a partial
+# copy by pattern automorphisms.
 # None of these cuts changes the first match (see ``find_induced_embedding``).
 # ---------------------------------------------------------------------------
 
@@ -193,14 +194,21 @@ def _search_order(pat: Graph) -> list[int]:
     return placed
 
 
+@lru_cache(maxsize=1)
+def _degree_profile(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Each vertex's degree and its neighbours' degrees, descending.  One
+    entry, keyed on the rows: the pattern searches of one
+    ``find_witness_any`` call share their host, so they build it once."""
+    deg = tuple(r.bit_count() for r in rows)
+    return deg, tuple(tuple(sorted((deg[w] for w in bits(r)), reverse=True)) for r in rows)
+
+
 def _signature_masks(host: Graph, sigs: tuple[tuple, ...]) -> list[int] | None:
     """Per depth, the host vertices whose degree, co-degree and sorted
     neighbour degrees dominate that depth's signature; None when a depth has
     no candidate.  Each distinct signature's mask is built once."""
-    rows = host.rows
     hn = host.n
-    deg = [r.bit_count() for r in rows]
-    nbr_degs = [sorted((deg[w] for w in bits(r)), reverse=True) for r in rows]
+    deg, nbr_degs = _degree_profile(host.rows)
     masks: dict[tuple, int] = {}
     for sig in sigs:
         if sig in masks:
@@ -347,8 +355,12 @@ def find_induced_copy(host: Graph, fid: FamilyId) -> tuple[int, ...] | None:
 
     Returns host vertices in pattern order, or None when no embedding exists.
     First match under the fixed search order wins, so results are stable.
+    A theorem pattern is not searched when a core pattern inside it has no
+    copy in ``host`` (``_core_misses``): it then has none either.
     """
     pat = _pattern(fid)
+    if pat.n > host.n or _core_misses(host, fid):
+        return None
     return find_induced_embedding(host, pat)
 
 
@@ -443,7 +455,15 @@ def require_valid(g: Graph, w: Witness | ChainWitness, what: str) -> Witness | C
 
 
 # ---------------------------------------------------------------------------
-# Combined search over the theorem's outcome list.
+# Combined search over the theorem's outcome list, and its miss certificates.
+# The proof of the outcome list passes through two intermediate outcomes, an
+# induced matching and a half split; these and their complements are the
+# core patterns.  If a core P is an induced subgraph of a theorem pattern Q
+# (psi embeds P into Q) and Q has an induced copy phi in the host, then
+# phi o psi is an induced copy of P in the host.  So an exact miss of P
+# proves a miss of Q, and ``find_induced_copy`` returns None for Q without
+# searching it.  Each core is searched at most once per host, and both its
+# hits and its misses are kept.
 # ---------------------------------------------------------------------------
 
 THEOREM_FAMILY_ORDER = (
@@ -455,12 +475,56 @@ THEOREM_FAMILY_ORDER = (
     Family.HALF_SPLIT_PENDANT,
 )
 
+CORE_FAMILIES = (Family.MATCHING, Family.HALF_SPLIT)
+
+
+@lru_cache(maxsize=512)
+def _cores_inside(fid: FamilyId) -> tuple[FamilyId, ...]:
+    """The core patterns (``CORE_FAMILIES`` and their complements, at size
+    ``fid.n``) that are induced subgraphs of theorem pattern ``fid``, found
+    by searching for each in the pattern itself; () for other patterns."""
+    if fid.family not in THEOREM_FAMILY_ORDER:
+        return ()
+    pat = _pattern(fid)
+    cores = (FamilyId(fam, fid.n, comp) for fam in CORE_FAMILIES for comp in (False, True))
+    return tuple(c for c in cores if find_induced_embedding(pat, _pattern(c)) is not None)
+
+
+@lru_cache(maxsize=1)
+def _core_outcomes(rows: tuple[int, ...]) -> dict[FamilyId, bool]:
+    """Whether each core pattern searched so far in the host with these rows
+    has an induced copy there.  One entry, keyed on the rows: the searches
+    of one ``find_witness_any`` call share their host."""
+    return {}
+
+
+def _core_misses(host: Graph, fid: FamilyId) -> bool:
+    """Whether some core pattern inside ``fid`` has no induced copy in
+    ``host``, searching each core whose outcome in this host is not yet
+    known and stopping at the first miss."""
+    cores = _cores_inside(fid)
+    if not cores:
+        return False
+    known = _core_outcomes(host.rows)
+    if any(known.get(c) is False for c in cores):
+        return True
+    for core in cores:
+        if core not in known:
+            known[core] = find_induced_embedding(host, _pattern(core)) is not None
+            if not known[core]:
+                return True
+    return False
+
 
 def find_witness_any(host: Graph, n: int) -> Witness | ChainWitness | None:
     """First verified outcome witness under the fixed family order, or None.
 
     Tries the six generated families and their complements, then falls back
-    to a greedy prime-chain search of length exactly n.
+    to a greedy prime-chain search of length exactly n.  A theorem pattern
+    with a missing core pattern is not searched (see the section comment);
+    that pattern has no copy, so ``find_induced_copy`` returns None for it
+    either way, and the patterns are tried in the same order: the first hit
+    and its embedding are those of searching every pattern in turn.
     """
     if n < 3:
         raise ValueError("outcome size must be at least 3")

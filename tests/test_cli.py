@@ -1,9 +1,11 @@
 import io
 import json
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
+from primewitness import cli
 from primewitness.cli import main
 from primewitness.families import Family, FamilyId, generate
 from primewitness.graphs import complement, emit_graph6, parse_graph6
@@ -155,6 +157,45 @@ def test_witness_jobs_preserves_order(capsys, monkeypatch):
     )
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_witness_rejects_jobs_below_one(capsys, monkeypatch, jobs):
+    text = emit_graph6(generate(FamilyId(Family.HALF_GRAPH, 8)).graph) + "\n"
+    code, out, err = run_cli(capsys, ["witness", "--n", "3", "--jobs", jobs], text, monkeypatch)
+    assert code == 2 and out == "" and "--jobs" in err
+
+
+class _SerialPool:
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and
+    runs each submitted call at once, so no worker process starts."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("jobs, workers", [("2", [2]), ("5000", [3]), ("1", [])])
+def test_witness_jobs_capped_at_usable_cpus(capsys, monkeypatch, jobs, workers):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    text = emit_graph6(generate(FamilyId(Family.HALF_GRAPH, 8)).graph) + "\n"
+    code, out, _ = run_cli(capsys, ["witness", "--n", "3", "--jobs", jobs], text, monkeypatch)
+    assert code == 0 and out.startswith("witness ")
+    assert _SerialPool.sizes == workers
 
 
 class _RecordingInput:

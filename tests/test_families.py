@@ -19,9 +19,16 @@ from primewitness.families import (
 )
 from primewitness.graphs import Graph, complement
 from primewitness.homogeneous import is_prime
+from primewitness.oracles import naive_induced_search
 from primewitness.witnesses import ChainWitness, Witness
 
-from util import automorphisms, random_graph, reference_induced_embedding, reference_induced_path
+from util import (
+    automorphisms,
+    random_graph,
+    reference_induced_embedding,
+    reference_induced_path,
+    reference_witness_any,
+)
 
 
 def test_family_id_parsing():
@@ -383,3 +390,83 @@ def test_witness_search_skips_families_larger_than_host(monkeypatch):
 
     monkeypatch.setattr(families, "generate", refuse)
     assert find_witness_any(Graph.path(5), 500) is None
+
+
+def _fids(families_: tuple[Family, ...], n: int) -> list[FamilyId]:
+    return [FamilyId(fam, n, comp) for fam in families_ for comp in (False, True)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_core_lattice_matches_brute_force(n):
+    pat = families._pattern
+    theorem = _fids(THEOREM_FAMILY_ORDER, n)
+    cores = _fids(families.CORE_FAMILIES, n)
+    for fid in theorem:
+        expected = tuple(c for c in cores if naive_induced_search(pat(fid), pat(c)))
+        assert families._cores_inside(fid) == expected, fid
+    # so no theorem pattern is skipped for the miss of another
+    for p, q in itertools.permutations(theorem, 2):
+        assert not naive_induced_search(pat(q), pat(p)), (p, q)
+
+
+def _record_searches(monkeypatch, host: Graph, n: int) -> list[tuple[FamilyId, bool]]:
+    """Route ``families.find_induced_embedding`` through a recorder of
+    (pattern, hit) for each search of a theorem or core pattern at size n
+    in ``host``, with no core outcomes of earlier hosts kept."""
+    by_rows = {
+        families._pattern(f).rows: f
+        for f in _fids(THEOREM_FAMILY_ORDER + families.CORE_FAMILIES, n)
+    }
+    calls: list[tuple[FamilyId, bool]] = []
+    search = families.find_induced_embedding
+
+    def recording(h, pat):
+        emb = search(h, pat)
+        if h.rows == host.rows and pat.rows in by_rows:
+            calls.append((by_rows[pat.rows], emb is not None))
+        return emb
+
+    families._core_outcomes.cache_clear()
+    monkeypatch.setattr(families, "find_induced_embedding", recording)
+    return calls
+
+
+def test_witness_any_matches_reference_scan(monkeypatch):
+    rng = random.Random(83)
+    core_missed = core_hit_pattern_missed = 0
+    for i in range(150):
+        n = 3 + i % 4
+        host = random_graph(rng, rng.randrange(8, 41 if n < 6 else 29), rng.choice(
+            [0.2, 0.35, 0.5, 0.65, 0.8]
+        ))
+        ref = reference_witness_any(host, n)
+        with monkeypatch.context() as m:
+            calls = _record_searches(m, host, n)
+            assert find_witness_any(host, n) == ref, (host.rows, n)
+        outcome = dict(calls)
+        for fid in _fids(THEOREM_FAMILY_ORDER, n):
+            cores = families._cores_inside(fid)
+            core_missed += any(outcome.get(c) is False for c in cores)
+            core_hit_pattern_missed += bool(cores) and outcome.get(fid) is False
+    # both sides of the certificate were exercised: patterns skipped for a
+    # core's miss, and patterns searched (and missed) after their cores hit
+    assert core_missed and core_hit_pattern_missed
+
+
+def test_core_miss_skips_its_patterns(monkeypatch):
+    # a threshold graph has no induced 2K2, so no matching:4 and no
+    # subdivided-star:4, and no C4, so no matching:4! either
+    host = generate(FamilyId(Family.HALF_SPLIT_APEX, 6)).graph
+    ref = reference_witness_any(host, 4)
+    calls = _record_searches(monkeypatch, host, 4)
+    w = find_witness_any(host, 4)
+    assert w == ref and check_witness(host, w)
+    searched = [fid for fid, _ in calls]
+    assert (FamilyId(Family.MATCHING, 4), False) in calls
+    assert FamilyId(Family.SUBDIVIDED_STAR, 4) not in searched
+    assert FamilyId(Family.SUBDIVIDED_STAR, 4, True) not in searched
+    assert len(searched) == len(set(searched))
+    # a core's outcome is kept for the next search in the same host
+    calls.clear()
+    assert find_induced_copy(host, FamilyId(Family.SUBDIVIDED_STAR, 4)) is None
+    assert calls == []

@@ -1,10 +1,11 @@
 """Shared helpers for the test suite: random chain growth, the substitution
 construction, automorphisms by brute force, and the references that
 ``find_homogeneous_set`` (all-pairs closure scan),
-``find_induced_embedding`` (plain backtracking) and the induced-path search
-(the hand-written path search with its node budget) must agree with.  Graph
-sampling and exhaustive enumeration are the library's oracles, re-exported
-here."""
+``find_induced_embedding`` (plain backtracking), the induced-path search
+(the hand-written path search with its node budget) and
+``find_witness_any`` (every theorem pattern searched in turn) must agree
+with.  Graph sampling and exhaustive enumeration are the library's oracles,
+re-exported here."""
 
 from __future__ import annotations
 
@@ -214,3 +215,28 @@ def reference_induced_path(host: Graph, n: int, node_budget: int) -> tuple[tuple
         if budget < 0:
             return None, False
     return None, True
+
+
+def reference_witness_any(host: Graph, n: int):
+    """Reference for ``find_witness_any``: every theorem pattern searched in
+    the fixed order by the plain induced-embedding search, with no miss
+    certificates, then the prime-chain fallback.  Both must return the same
+    witness."""
+    from primewitness.families import (
+        THEOREM_FAMILY_ORDER,
+        FamilyId,
+        find_induced_embedding,
+        find_prime_chain,
+        generate,
+    )
+    from primewitness.witnesses import ChainWitness, Witness
+
+    if 2 * n <= host.n:
+        for fam in THEOREM_FAMILY_ORDER:
+            for comp in (False, True):
+                fid = FamilyId(fam, n, comp)
+                emb = find_induced_embedding(host, generate(fid).graph)
+                if emb is not None:
+                    return Witness(fid, emb, provenance="direct-search")
+    seq = find_prime_chain(host, n)
+    return None if seq is None else ChainWitness(seq, provenance="direct-search")
