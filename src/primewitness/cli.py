@@ -2,7 +2,10 @@
 extraction, and the batch verification harness.
 
 Streaming protocol: graph6 lines in, one verdict or JSON object per line
-out, so the tool composes with external graph catalogs.  Exit codes: 0
+out, so the tool composes with external graph catalogs.  ``prime`` and
+``witness`` run in one process through one serial loop, which prints and
+flushes each line's result before it reads the next line; to use several
+CPUs, split the input and run one process per part.  Exit codes: 0
 success, 1 data error, 2 usage error.
 
 ``prime`` prints ``prime``, ``homogeneous {...}`` with the set found, or
@@ -15,16 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 
 from . import extraction, homogeneous
 from .families import Family, FamilyId, find_induced_copy, generate
-from .graphs import Graph6Error, emit_graph6, parse_graph6
+from .graphs import emit_graph6, parse_graph6
 from .oracles import all_graphs, chain_sweep, naive_induced_search, primality_sweep, random_graph
 from .witnesses import ChainWitness, InsufficientSize, NotPrimeError, Witness
 
@@ -50,35 +50,45 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_prime(args) -> int:
-    status = 0
-    for lineno, line in enumerate(args.input, start=1):
+def _each_graph(stream, handle) -> int:
+    """Print ``handle(g)`` for the graph g of each non-blank graph6 line of
+    ``stream``, one line out per line in, flushed as it is done.  A line
+    whose parse or handling raises ``ValueError`` (``Graph6Error``
+    included) is reported on stderr as ``line k: ...``; returns how many
+    were."""
+    errors = 0
+    for lineno, line in enumerate(stream, start=1):
         text = line.strip()
         if not text:
             continue
         try:
-            g = parse_graph6(text)
-        except Graph6Error as e:
-            print(f"line {lineno}: {e}", file=sys.stderr)
-            status = 1
-            continue
-        if g.n <= 2:
-            print("vacuous")
-            continue
-        hom = homogeneous.find_homogeneous_set(g)
-        if hom is None:
-            print("prime")
+            out = handle(parse_graph6(text))
+        except ValueError as e:
+            print(f"line {lineno}: {e}", file=sys.stderr, flush=True)
+            errors += 1
         else:
-            print("homogeneous {" + ", ".join(str(v) for v in sorted(hom)) + "}")
-    return status
+            print(out, flush=True)
+    return errors
+
+
+def _prime_verdict(g) -> str:
+    if g.n <= 2:
+        return "vacuous"
+    hom = homogeneous.find_homogeneous_set(g)
+    if hom is None:
+        return "prime"
+    return "homogeneous {" + ", ".join(str(v) for v in sorted(hom)) + "}"
+
+
+def cmd_prime(args) -> int:
+    return 1 if _each_graph(args.input, _prime_verdict) else 0
 
 
 _RESULT_KINDS = ((Witness, "witness"), (ChainWitness, "chain"), (InsufficientSize, "insufficient"))
 
 
-def _witness_payload(text: str, n: int) -> tuple[str, dict]:
-    """``unavoidable_witness`` on one graph6 line, as (kind, JSON payload)."""
-    g = parse_graph6(text)
+def _witness_payload(g, n: int) -> tuple[str, dict]:
+    """``unavoidable_witness`` on one graph, as (kind, JSON payload)."""
     try:
         result = extraction.unavoidable_witness(g, n)
     except NotPrimeError as e:
@@ -87,21 +97,6 @@ def _witness_payload(text: str, n: int) -> tuple[str, dict]:
         if isinstance(result, cls):
             return kind, result.to_json()
     raise AssertionError(f"unexpected driver result {result!r}")
-
-
-def _witness_line(item: tuple[int, str, int, bool]) -> tuple[str, str, str]:
-    """(kind, output line, error line) for one input line; kind is the
-    payload's kind, or "error" when the line could not be processed."""
-    lineno, text, n, as_json = item
-    try:
-        kind, payload = _witness_payload(text, n)
-    except Graph6Error as e:
-        return "error", "", f"line {lineno}: {e}"
-    except ValueError as e:
-        return "error", "", f"line {lineno}: {e}"
-    if as_json:
-        return kind, json.dumps(payload, separators=(",", ":")), ""
-    return kind, _summarize(payload), ""
 
 
 def _summarize(payload: dict) -> str:
@@ -118,80 +113,33 @@ def _summarize(payload: dict) -> str:
     return f"insufficient stage={payload['stage']} needed={payload['needed']} had={payload['had']}"
 
 
-def _witness_results(items, jobs: int):
-    """``_witness_line`` of each item, yielded in input order as soon as it
-    and every earlier one are done.  With more than one job, items run in a
-    process pool with at most ``2 * jobs`` in flight, so input is read only
-    as fast as results come out."""
-    if jobs <= 1:
-        for item in items:
-            yield _witness_line(item)
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        window: deque = deque()
-        for item in items:
-            window.append(pool.submit(_witness_line, item))
-            while window and (len(window) >= 2 * jobs or window[0].done()):
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all of them where the platform cannot
-    tell)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def cmd_witness(args) -> int:
     if args.n < 3:
         return _fail_usage("--n must be at least 3")
-    if args.jobs < 1:
-        return _fail_usage("--jobs must be at least 1")
-    # the pool starts every worker at once, so no more than there are CPUs
-    jobs = min(args.jobs, _usable_cpus())
     started = time.monotonic()
-    items = (
-        (lineno, line.strip(), args.n, args.json)
-        for lineno, line in enumerate(args.input, start=1)
-        if line.strip()
-    )
-    status = 0
-    totals = {"witness": 0, "chain": 0, "insufficient": 0, "nonprime": 0, "error": 0}
-    for kind, out, err in _witness_results(items, jobs):
+    totals = {"witness": 0, "chain": 0, "insufficient": 0, "nonprime": 0}
+
+    def handle(g) -> str:
+        kind, payload = _witness_payload(g, args.n)
+        out = json.dumps(payload, separators=(",", ":")) if args.json else _summarize(payload)
         totals[kind] += 1
-        if err:
-            print(err, file=sys.stderr, flush=True)
-            status = 1
-        else:
-            print(out, flush=True)
+        return out
+
+    errors = _each_graph(args.input, handle)
     elapsed = time.monotonic() - started
     print(
-        f"processed {sum(totals.values())} graphs in {elapsed:.2f}s: "
+        f"processed {sum(totals.values()) + errors} graphs in {elapsed:.2f}s: "
         f"{totals['witness']} family witnesses, {totals['chain']} chain witnesses, "
         f"{totals['insufficient']} insufficient, {totals['nonprime']} non-prime, "
-        f"{totals['error']} errors",
+        f"{errors} errors",
         file=sys.stderr,
     )
-    return status
+    return 1 if errors else 0
 
 
 # ---------------------------------------------------------------------------
 # verify: oracle agreement sweeps and the family non-containment matrix.
 # ---------------------------------------------------------------------------
-
-_MATRIX_FAMILIES = (
-    Family.SUBDIVIDED_STAR,
-    Family.LINE_K2N,
-    Family.THIN_SPIDER,
-    Family.THICK_SPIDER,
-    Family.HALF_GRAPH,
-    Family.HALF_SPLIT,
-    Family.HALF_SPLIT_APEX,
-    Family.HALF_SPLIT_PENDANT,
-)
 
 _MATRIX_LABELS = {
     Family.SUBDIVIDED_STAR: "substar",
@@ -210,7 +158,7 @@ def _verify_matrix(n_host: int, n_pat: int) -> tuple[list[str], int]:
     disagreements = 0
     pattern_ids = [
         FamilyId(fp, n_pat, complemented=comp)
-        for fp in _MATRIX_FAMILIES
+        for fp in _MATRIX_LABELS
         for comp in (False, True)
     ]
     header = "host \\ pattern".ljust(22) + " ".join(
@@ -218,7 +166,7 @@ def _verify_matrix(n_host: int, n_pat: int) -> tuple[list[str], int]:
         for fid in pattern_ids
     )
     lines.append(header)
-    for fh in _MATRIX_FAMILIES:
+    for fh in _MATRIX_LABELS:
         host = generate(FamilyId(fh, n_host)).graph
         cells = []
         for fid in pattern_ids:
@@ -293,10 +241,6 @@ def main(argv: list[str] | None = None) -> int:
     p_wit = sub.add_parser("witness", help="unavoidable-outcome witnesses for graph6 input")
     p_wit.add_argument("--n", type=int, required=True, help="outcome size (>= 3)")
     p_wit.add_argument("--json", action="store_true", help="emit JSON lines")
-    p_wit.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel workers (>= 1, capped at the usable CPUs; order preserved)",
-    )
     p_wit.set_defaults(func=cmd_witness, input=None)
 
     p_ver = sub.add_parser("verify", help="oracle agreement sweeps and family matrix")

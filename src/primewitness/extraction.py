@@ -133,11 +133,13 @@ def h_bound(n: int, nprime: int, i: int, cap_bits: int = CAP_BITS):
         raise ValueError("h needs positive n, n'")
     if i < 2:
         raise ValueError("h is defined for i >= 2")
+    if n == 1:
+        return 1  # each step is (1 - 1) * r + 1
     val = n
     for step in range(3, i + 1):
         r = ramsey_upper_bound((n,) * 7 + (nprime, nprime, val), cap_bits)
         if isinstance(r, Huge):
-            # h only grows with more recursion steps, so r's floor still holds
+            # for n >= 2 h only grows with more recursion steps, so r's floor holds
             return Huge("h", (n, nprime, i), r.min_bits)
         val = (n - 1) * r + 1
         if val.bit_length() > cap_bits:
@@ -234,9 +236,6 @@ class EdgeColoring:
         if i == j:
             raise ValueError("pairs only")
         return self._ids[i][j]
-
-    def color(self, i: int, j: int):
-        return self.palette[self.color_id(i, j)]
 
 
 def ramsey_monochromatic(

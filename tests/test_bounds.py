@@ -11,6 +11,11 @@ def test_h_base_case():
         n = rng.randrange(1, 300)
         nprime = rng.randrange(1, 300)
         assert ex.h_bound(n, nprime, 2) == n
+    # with n = 1 each step is (n - 1) * R + 1 = 1, however large R is
+    assert ex.h_bound(1, 2_000_000, 3) == 1
+    assert ex.h_bound(1, 3, 3, cap_bits=4) == 1
+    for i in range(2, 8):
+        assert ex.h_bound(1, 5, i) == 1
 
 
 def test_g_values():

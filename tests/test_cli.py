@@ -1,11 +1,9 @@
 import io
 import json
-from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
-from primewitness import cli
 from primewitness.cli import main
 from primewitness.families import Family, FamilyId, generate
 from primewitness.graphs import complement, emit_graph6, parse_graph6
@@ -142,60 +140,25 @@ def test_witness_bad_n(capsys, monkeypatch):
     assert code == 2
 
 
-def test_witness_jobs_preserves_order(capsys, monkeypatch):
-    from primewitness.graphs import Graph
-
-    hosts = [
-        generate(FamilyId(Family.HALF_GRAPH, 8)).graph,
-        Graph.complete(6),
-        generate(FamilyId(Family.THIN_SPIDER, 6)).graph,
-    ]
-    text = "".join(emit_graph6(h) + "\n" for h in hosts)
-    code1, out1, _ = run_cli(capsys, ["witness", "--n", "3", "--json"], text, monkeypatch)
-    code2, out2, _ = run_cli(
-        capsys, ["witness", "--n", "3", "--json", "--jobs", "2"], text, monkeypatch
+def test_witness_tiny_graphs(capsys, monkeypatch):
+    # 0, 1 and 2 vertices (the last two with and without the edge)
+    code, out, err = run_cli(capsys, ["witness", "--n", "3"], "?\n@\nA_\nA?\n", monkeypatch)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[:4] == [f"line {k}: host needs at least 3 vertices" for k in range(1, 5)]
+    assert len(lines) == 5
+    assert lines[4].endswith(
+        "s: 0 family witnesses, 0 chain witnesses, 0 insufficient, 0 non-prime, 4 errors"
     )
-    assert code1 == code2 == 0
-    assert out1 == out2
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_witness_rejects_jobs_below_one(capsys, monkeypatch, jobs):
-    text = emit_graph6(generate(FamilyId(Family.HALF_GRAPH, 8)).graph) + "\n"
-    code, out, err = run_cli(capsys, ["witness", "--n", "3", "--jobs", jobs], text, monkeypatch)
-    assert code == 2 and out == "" and "--jobs" in err
-
-
-class _SerialPool:
-    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and
-    runs each submitted call at once, so no worker process starts."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-@pytest.mark.parametrize("jobs, workers", [("2", [2]), ("5000", [3]), ("1", [])])
-def test_witness_jobs_capped_at_usable_cpus(capsys, monkeypatch, jobs, workers):
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    text = emit_graph6(generate(FamilyId(Family.HALF_GRAPH, 8)).graph) + "\n"
-    code, out, _ = run_cli(capsys, ["witness", "--n", "3", "--jobs", jobs], text, monkeypatch)
-    assert code == 0 and out.startswith("witness ")
-    assert _SerialPool.sizes == workers
+def test_witness_rejects_jobs(capsys, monkeypatch):
+    # one process only: --jobs is not an option, so argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, ["witness", "--n", "3", "--jobs", "2"], "", monkeypatch)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and "--jobs" in captured.err
 
 
 class _RecordingInput:
@@ -214,29 +177,23 @@ class _RecordingInput:
         self.printed_before.append(self.out.getvalue().count("\n"))
         return line
 
-    def close(self):
-        # a forked pool worker closes its inherited stdin
-        pass
 
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_witness_streams_in_a_bounded_window(monkeypatch, jobs):
+def test_witness_streams_line_by_line(monkeypatch):
     line = emit_graph6(generate(FamilyId(Family.HALF_GRAPH, 8)).graph) + "\n"
     out = io.StringIO()
     lines = _RecordingInput([line] * 8, out)
     monkeypatch.setattr("sys.stdout", out)
     monkeypatch.setattr("sys.stdin", lines)
-    assert main(["witness", "--n", "3", "--json", "--jobs", str(jobs)]) == 0
+    assert main(["witness", "--n", "3", "--json"]) == 0
     assert out.getvalue().count("\n") == 8
-    # at most 2 * jobs lines are in flight, so the first output line is out
-    # before line 2 * jobs + 1 is read (line 3 with one job)
-    assert lines.printed_before[2 * jobs] >= 1
+    # each line's result is out before the next line is read
+    assert lines.printed_before == list(range(8))
 
 
 _BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.mark.parametrize("workload", ["witness-hit", "witness-exhaust"])
+@pytest.mark.parametrize("workload", ["witness-hit", "witness-exhaust", "prime-gnp"])
 def test_witness_output_matches_golden_digests(capsys, monkeypatch, workload):
     # the first-match contract end to end: the CLI output on the first 40
     # graphs of the benchmark corpus (seed 1) equals the recorded output
