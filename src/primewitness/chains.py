@@ -5,16 +5,18 @@ A chain is a sequence of distinct vertices in which every vertex's immediate
 predecessor is its unique neighbor or its unique non-neighbor among all
 predecessors.  Chains certify primeness reachability: a chain from a
 two-vertex set I to v exists exactly when no homogeneous set contains I while
-excluding v.  The search builds the auxiliary digraph from that equivalence's
-constructive proof and takes a shortest path.
+excluding v.  The search takes a shortest path in the auxiliary digraph of
+that equivalence's constructive proof, read off the parents of
+``homogeneous._reach``, the same breadth-first search that computes seeded
+closures.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 from .graphs import Graph, bits, mask_of
+from .homogeneous import _reach
 
 
 def chain_length(seq: Sequence[int]) -> int:
@@ -59,47 +61,6 @@ def validate_chain(
     return True, None
 
 
-def _aux_parents(g: Graph, imask: int) -> dict[int, int | None]:
-    """Breadth-first parents in the auxiliary digraph rooted outside I.
-
-    Arcs: root -> w when w is mixed on I (parent None), and x -> y when y is
-    unmixed on I but mixed on I+{x}.  Queue order is lowest vertex index
-    first, so parents encode deterministic shortest paths.
-    """
-    rows = g.rows
-    outside = g.vertex_mask() & ~imask
-
-    # uniform[w]: adjacency of an unmixed w toward I (1 complete, 0 anticomplete)
-    mixed = 0
-    uniform = {}
-    for w in bits(outside):
-        x = rows[w] & imask
-        if x == 0:
-            uniform[w] = 0
-        elif x == imask:
-            uniform[w] = 1
-        else:
-            mixed |= 1 << w
-
-    parent: dict[int, int | None] = {}
-    queue: deque[int] = deque()
-    for w in bits(mixed):
-        parent[w] = None
-        queue.append(w)
-    unseen = outside & ~mixed
-    while queue:
-        x = queue.popleft()
-        bx = rows[x]
-        newly = 0
-        for y in bits(unseen):
-            if ((bx >> y) & 1) != uniform[y]:
-                parent[y] = x
-                queue.append(y)
-                newly |= 1 << y
-        unseen &= ~newly
-    return parent
-
-
 def _chain_from_parents(
     g: Graph, imask: int, parent: dict[int, int | None], target: int
 ) -> tuple[int, ...]:
@@ -131,13 +92,15 @@ def find_chain(g: Graph, source_set: Iterable[int], target: int) -> tuple[int, .
     imask = mask_of(source_set)
     if imask.bit_count() < 2:
         raise ValueError("source set needs at least two vertices")
+    if imask >> g.n:
+        raise ValueError("source vertex out of range")
     if not 0 <= target < g.n:
         raise ValueError(f"vertex {target} out of range")
     if (imask >> target) & 1:
         raise ValueError("target must lie outside the source set")
 
-    parent = _aux_parents(g, imask)
-    if target not in parent:
+    parent: dict[int, int | None] = {}
+    if not (_reach(g, imask, parent) >> target) & 1:
         return None
     return _chain_from_parents(g, imask, parent, target)
 

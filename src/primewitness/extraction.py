@@ -210,32 +210,36 @@ def bounds(n: int) -> BoundSpec:
 # ---------------------------------------------------------------------------
 
 class EdgeColoring:
-    """Total edge coloring of a complete graph on vertices 0..m-1."""
+    """Total edge coloring of a complete graph on vertices 0..m-1, kept as
+    one bitset graph row list per color: bit j of ``_rows[c][i]`` is set iff
+    the pair (i, j) has color id c."""
 
-    __slots__ = ("m", "palette", "_ids")
+    __slots__ = ("m", "palette", "_rows")
 
-    def __init__(self, m: int, palette: Sequence, ids: Sequence[Sequence[int]]):
+    def __init__(self, m: int, palette: Sequence, rows: Sequence[Sequence[int]]):
         self.m = m
         self.palette = tuple(palette)
-        self._ids = tuple(tuple(row) for row in ids)
+        self._rows = tuple(tuple(r) for r in rows)
 
     @classmethod
     def from_function(cls, m: int, palette: Sequence, fn) -> "EdgeColoring":
         palette = tuple(palette)
         index = {c: i for i, c in enumerate(palette)}
-        ids = [[-1] * m for _ in range(m)]
+        rows = [[0] * m for _ in palette]
         for i in range(m):
             for j in range(i + 1, m):
                 c = fn(i, j)
                 if c not in index:
                     raise ValueError(f"color {c!r} of pair ({i},{j}) not in palette")
-                ids[i][j] = ids[j][i] = index[c]
-        return cls(m, palette, ids)
+                r = rows[index[c]]
+                r[i] |= 1 << j
+                r[j] |= 1 << i
+        return cls(m, palette, rows)
 
     def color_id(self, i: int, j: int) -> int:
-        if i == j:
-            raise ValueError("pairs only")
-        return self._ids[i][j]
+        if i == j or not (0 <= i < self.m and 0 <= j < self.m):
+            raise ValueError("pairs of distinct vertices only")
+        return next(c for c, rows in enumerate(self._rows) if (rows[i] >> j) & 1)
 
 
 def ramsey_monochromatic(
@@ -256,15 +260,11 @@ def ramsey_monochromatic(
             raise ValueError("targets must be non-negative")
         if t > m:
             continue
-        rows = [0] * m
-        for i in range(m):
-            for j in range(i + 1, m):
-                if coloring.color_id(i, j) == c:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
         # each vertex of K_t has every later one as an orbit-mate, so the
         # first embedding is ascending: the lexicographically first clique
-        found = fam.find_induced_embedding(Graph._trusted(m, rows), Graph.complete(t))
+        found = fam.find_induced_embedding(
+            Graph._trusted(m, coloring._rows[c]), Graph.complete(t)
+        )
         if found is not None:
             return c, frozenset(found)
     return None
@@ -331,18 +331,17 @@ def grow_regular_triple(g: Graph, t: RegularTriple) -> RegularTriple:
     if not 1 < asize < g.n:
         raise ValueError("growth needs 1 < |A| < |V|")
     rows = g.rows
-    y = -1
-    for w in range(g.n):
-        if (amask >> w) & 1:
-            continue
-        x = rows[w] & amask
-        if x and x != amask:
-            y = w
-            break
-    if y < 0:
+    union = 0
+    inter = g.vertex_mask()
+    for a in bits(amask):
+        union |= rows[a]
+        inter &= rows[a]
+    mixed = union & ~inter & ~amask
+    if not mixed:
         raise AssertionError(
             "no vertex is mixed on A; the host cannot be prime with 1 < |A| < |V|"
         )
+    y = (mixed & -mixed).bit_length() - 1
     ay = rows[y] & amask
     if 2 * ay.bit_count() >= asize:
         new_a = ay

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from . import chains
 from .graphs import Graph, bits, complement
+from .homogeneous import _reach
 from .witnesses import ChainWitness, Witness
 
 SIZE_LIMIT = 1 << 16
@@ -595,7 +596,8 @@ def _find_induced_path(host: Graph, n: int) -> tuple[int, ...] | None:
 
 def _prime_chain_from_pair(host: Graph, u: int, v: int, n: int) -> tuple[int, ...] | None:
     imask = (1 << u) | (1 << v)
-    parent = chains._aux_parents(host, imask)
+    parent: dict[int, int | None] = {}
+    _reach(host, imask, parent)
     # parent is in BFS order, so each vertex's parent comes before it
     depth: dict[int, int] = {}
     for t, p in parent.items():

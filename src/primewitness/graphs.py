@@ -223,7 +223,7 @@ def parse_graph6(text: str) -> Graph:
             i += 1
             if i == j:
                 i, j = 0, j + 1
-    return Graph(n, rows)
+    return Graph._trusted(n, rows)
 
 
 def emit_graph6(g: Graph) -> str:

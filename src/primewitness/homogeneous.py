@@ -5,7 +5,10 @@ complete or anticomplete to X; a graph is prime when no such set exists.
 The workhorse is the seeded closure: the smallest set containing a given
 vertex pair that no outside vertex is mixed on.  The closure is the unique
 minimal candidate containing that pair, so a graph is prime exactly when
-every pair closes to the whole vertex set.
+every pair closes to the whole vertex set.  One bitset breadth-first search,
+``_reach``, computes it: what it adds to a seed I is what the auxiliary
+digraph of the chain lemma reaches from I, and ``chains.find_chain`` reads
+its chains off the same search's parents.
 
 One search answers both questions.  ``find_homogeneous_set`` returns the
 closure of the lexicographically least pair that closes to a proper set, a
@@ -16,6 +19,7 @@ coming back empty.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 
 from .graphs import Graph, bits, mask_of
 
@@ -60,26 +64,50 @@ def brute_force_homogeneous(g: Graph) -> list[frozenset[int]]:
     return out
 
 
-def closure(g: Graph, seed_mask: int) -> int:
-    """Grow ``seed_mask`` by repeatedly absorbing vertices mixed on it.
+def _reach(g: Graph, imask: int, parent: dict[int, int | None] | None = None) -> int:
+    """The vertices outside ``imask`` that the auxiliary digraph reaches.
 
-    The result is the minimal homogeneous-candidate set containing the seed:
-    a proper result is a homogeneous set, the full vertex set means none
-    contains the seed.
+    Arcs run from I to every vertex mixed on I, and from x to y when y is
+    unmixed on I but mixed on I+{x}.  These are the vertices the seeded
+    closure absorbs, and by the chain lemma the targets of chains from I.
+    The search is breadth-first, each vertex's successors queued lowest
+    index first; a ``parent`` dict given by the caller receives every
+    reached vertex in queue order with the vertex that reached it (None for
+    the vertices mixed on I), so parents encode deterministic shortest paths.
     """
     rows = g.rows
-    full = g.vertex_mask()
-    s = seed_mask
-    while s != full:
-        add = 0
-        for w in bits(full & ~s):
-            x = rows[w] & s
-            if x and x != s:
-                add |= 1 << w
-        if not add:
-            break
-        s |= add
-    return s
+    outside = g.vertex_mask() & ~imask
+    union = 0
+    complete = outside
+    for v in bits(imask):
+        union |= rows[v]
+        complete &= rows[v]
+    mixed = union & outside & ~complete
+    # an unmixed y is reached from x when x~y differs from y's view of I,
+    # which is complete's bit at y
+    unseen = outside & ~mixed
+    queue = deque(bits(mixed))
+    if parent is not None:
+        parent.update(dict.fromkeys(queue))
+    while queue and unseen:
+        x = queue.popleft()
+        new = unseen & (rows[x] ^ complete)
+        if new:
+            unseen ^= new
+            if parent is None:
+                queue.extend(bits(new))
+            else:
+                for y in bits(new):
+                    parent[y] = x
+                    queue.append(y)
+    return outside ^ unseen
+
+
+def closure(g: Graph, seed_mask: int) -> int:
+    """The minimal homogeneous-candidate set containing ``seed_mask``: no
+    outside vertex is mixed on it.  A proper result is a homogeneous set;
+    the full vertex set means none contains the seed."""
+    return seed_mask | _reach(g, seed_mask)
 
 
 def find_homogeneous_set(g: Graph) -> frozenset[int] | None:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from primewitness.chains import (
 from primewitness.graphs import Graph, induced_subgraph
 from primewitness.homogeneous import brute_force_homogeneous, is_prime
 
-from util import all_graphs, random_graph, random_prime_graph, sample_chain
+from util import all_graphs, random_graph, random_prime_graph, reference_chain, sample_chain
 
 
 def fig3_hosts():
@@ -77,6 +78,8 @@ def test_find_chain_preconditions():
         find_chain(p4, (0,), 3)
     with pytest.raises(ValueError):
         find_chain(p4, (0, 1), 1)
+    with pytest.raises(ValueError):
+        find_chain(p4, (0, 4), 2)
 
 
 def test_prime_graphs_reach_everything():
@@ -119,6 +122,24 @@ def test_larger_source_sets():
         assert (c is None) == separated
         if c is not None:
             assert validate_chain(g, c, source_set=members) == (True, None)
+
+
+def test_find_chain_matches_reference_parents():
+    rng = random.Random(24)
+    found = missing = 0
+    for _ in range(120):
+        g = random_graph(rng, rng.randrange(2, 13), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        for pair in itertools.combinations(range(g.n), 2):
+            for target in range(g.n):
+                if target in pair:
+                    continue
+                chain = find_chain(g, pair, target)
+                assert chain == reference_chain(g, pair, target), (g.rows, pair, target)
+                if chain is None:
+                    missing += 1
+                else:
+                    found += 1
+    assert found and missing
 
 
 def test_chain_induces_prime_on_path():

@@ -77,6 +77,11 @@ def test_ramsey_returns_lexicographically_first_clique():
 def test_coloring_validates_palette():
     with pytest.raises(ValueError):
         ex.EdgeColoring.from_function(3, (0, 1), lambda i, j: 7)
+    col = ex.EdgeColoring.from_function(3, (0, 1), lambda i, j: (i + j) % 2)
+    assert [col.color_id(i, j) for i, j in ((0, 1), (2, 0), (1, 2))] == [1, 0, 1]
+    for i, j in ((1, 1), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            col.color_id(i, j)
 
 
 def test_ramsey_three_three_is_six():

@@ -193,6 +193,22 @@ def test_graph6_round_trip_large_n():
     assert parse_graph6(text) == g
 
 
+def test_parsed_graphs_equal_checked_construction():
+    # parse_graph6 skips the constructor's checks; its rows must still be
+    # what Graph(n, rows) accepts, whatever the padding bits of the last
+    # data character hold (every n up to 70 covers both header forms and
+    # every padding width)
+    rng = random.Random(35)
+    for n in range(71):
+        for p in (0.2, 0.5, 0.8):
+            text = emit_graph6(random_graph(rng, n, p))
+            # emitted padding bits are zero, so adding fill sets them
+            pad = -(n * (n - 1) // 2) % 6
+            for fill in range(1 << pad):
+                h = parse_graph6(text[:-1] + chr(ord(text[-1]) + fill))
+                assert h == Graph(h.n, h.rows), (n, text, fill)
+
+
 def test_graph6_errors_carry_offsets():
     with pytest.raises(Graph6Error) as e:
         parse_graph6("")

@@ -3,15 +3,16 @@ import random
 import pytest
 
 from primewitness.families import Family, FamilyId, generate
-from primewitness.graphs import Graph, complement
+from primewitness.graphs import Graph, complement, mask_of
 from primewitness.homogeneous import (
     brute_force_homogeneous,
+    closure,
     find_homogeneous_set,
     is_homogeneous_set,
     is_prime,
 )
 
-from util import all_graphs, lex_first_closure, random_graph, substitute
+from util import all_graphs, lex_first_closure, random_graph, reference_closure, substitute
 
 
 def test_cycle4_homogeneous_sets():
@@ -88,6 +89,17 @@ def test_pivot_primality_matches_lexicographic_search():
     for g in graphs:
         assert is_prime(g) == (find_homogeneous_set(g) is None)
         assert find_homogeneous_set(g) == lex_first_closure(g)
+
+
+def test_closure_matches_round_based_reference():
+    rng = random.Random(14)
+    for _ in range(400):
+        n = rng.randrange(0, 31)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.95))
+        # every seed size, the empty and single-vertex seeds included
+        for size in range(n + 1):
+            seed = mask_of(rng.sample(range(n), size))
+            assert closure(g, seed) == reference_closure(g, seed), (g.rows, seed)
 
 
 def test_complement_invariance():

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: random chain growth, the substitution
 construction, automorphisms by brute force, and the references that
-``find_homogeneous_set`` (all-pairs closure scan),
+``closure`` (round-based absorption), ``find_homogeneous_set`` (all-pairs
+closure scan), ``find_chain`` (per-vertex auxiliary-digraph search),
 ``find_induced_embedding`` (plain backtracking), the induced-path search
 (the hand-written path search with its node budget) and
 ``find_witness_any`` (every theorem pattern searched in turn) must agree
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from primewitness.graphs import Graph, bits
 from primewitness.oracles import all_graphs, random_graph  # noqa: F401 (re-exported)
@@ -90,18 +92,94 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     ]
 
 
+def reference_closure(g: Graph, seed_mask: int) -> int:
+    """Reference for ``homogeneous.closure``: absorb every vertex mixed on
+    the current set, round after round, until none is left."""
+    rows = g.rows
+    full = g.vertex_mask()
+    s = seed_mask
+    while s != full:
+        add = 0
+        for w in bits(full & ~s):
+            x = rows[w] & s
+            if x and x != s:
+                add |= 1 << w
+        if not add:
+            break
+        s |= add
+    return s
+
+
 def lex_first_closure(g: Graph) -> frozenset[int] | None:
     """Reference for ``find_homogeneous_set``: close every seed pair in
     lexicographic order and return the first closure that is not all of V."""
-    from primewitness.homogeneous import closure
-
     full = g.vertex_mask()
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            s = closure(g, (1 << u) | (1 << v))
+            s = reference_closure(g, (1 << u) | (1 << v))
             if s != full:
                 return frozenset(bits(s))
     return None
+
+
+def reference_aux_parents(g: Graph, imask: int) -> dict[int, int | None]:
+    """Reference for the chain search's parents: breadth-first parents in
+    the auxiliary digraph rooted outside I, with a per-vertex test of every
+    unseen vertex.  Arcs: root -> w when w is mixed on I (parent None), and
+    x -> y when y is unmixed on I but mixed on I+{x}.  Queue order is lowest
+    vertex index first."""
+    rows = g.rows
+    outside = g.vertex_mask() & ~imask
+
+    # uniform[w]: adjacency of an unmixed w toward I (1 complete, 0 anticomplete)
+    mixed = 0
+    uniform = {}
+    for w in bits(outside):
+        x = rows[w] & imask
+        if x == 0:
+            uniform[w] = 0
+        elif x == imask:
+            uniform[w] = 1
+        else:
+            mixed |= 1 << w
+
+    parent: dict[int, int | None] = {}
+    queue: deque[int] = deque()
+    for w in bits(mixed):
+        parent[w] = None
+        queue.append(w)
+    unseen = outside & ~mixed
+    while queue:
+        x = queue.popleft()
+        bx = rows[x]
+        newly = 0
+        for y in bits(unseen):
+            if ((bx >> y) & 1) != uniform[y]:
+                parent[y] = x
+                queue.append(y)
+                newly |= 1 << y
+        unseen &= ~newly
+    return parent
+
+
+def reference_chain(g: Graph, source: tuple[int, ...], target: int) -> tuple[int, ...] | None:
+    """Reference for ``find_chain``: the root-to-target path of
+    ``reference_aux_parents``, after the lowest neighbor and the lowest
+    non-neighbor in the source set of its first vertex; None when the
+    target is not reached."""
+    imask = 0
+    for v in source:
+        imask |= 1 << v
+    parent = reference_aux_parents(g, imask)
+    if target not in parent:
+        return None
+    path = [target]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    first = path[-1]
+    v0 = min(v for v in source if g.adjacent(first, v))
+    v1 = min(v for v in source if not g.adjacent(first, v))
+    return (v0, v1, *reversed(path))
 
 
 def reference_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
