@@ -97,7 +97,7 @@ def _multinomial_estimates(total: int, parts: Sequence[int]) -> tuple[float, flo
     return est_bits, work, min_bits
 
 
-def ramsey_upper_bound(sizes: Sequence[int], cap_bits: int = CAP_BITS):
+def ramsey_upper_bound(sizes: Sequence[int]):
     """Multicolor Ramsey upper bound: multinomial(sum(n_i - 1); n_i - 1) + 1.
 
     Exact when the value is materializable within the caps, else Huge.
@@ -108,8 +108,8 @@ def ramsey_upper_bound(sizes: Sequence[int], cap_bits: int = CAP_BITS):
     parts = [s - 1 for s in sizes]
     total = sum(parts)
     est_bits, work, min_bits = _multinomial_estimates(total, parts)
-    if est_bits > cap_bits or work > WORK_CAP:
-        return Huge("ramsey-upper", sizes, max(1, min(min_bits, cap_bits + 1)))
+    if est_bits > CAP_BITS or work > WORK_CAP:
+        return Huge("ramsey-upper", sizes, max(1, min(min_bits, CAP_BITS + 1)))
     val = 1
     rem = total
     for k in sorted(parts):
@@ -125,7 +125,7 @@ def g_bound(n: int) -> int:
     return 4 ** (n - 2) * (n + 1) + 2 * (n - 2) + 1
 
 
-def h_bound(n: int, nprime: int, i: int, cap_bits: int = CAP_BITS):
+def h_bound(n: int, nprime: int, i: int):
     """Matching-recursion threshold: h(n,n',2) = n and
     h(n,n',i) = (n-1) * R(n,...,n, n', n', h(n,n',i-1)) + 1 with seven n's.
     """
@@ -137,13 +137,13 @@ def h_bound(n: int, nprime: int, i: int, cap_bits: int = CAP_BITS):
         return 1  # each step is (1 - 1) * r + 1
     val = n
     for step in range(3, i + 1):
-        r = ramsey_upper_bound((n,) * 7 + (nprime, nprime, val), cap_bits)
+        r = ramsey_upper_bound((n,) * 7 + (nprime, nprime, val))
         if isinstance(r, Huge):
             # for n >= 2 h only grows with more recursion steps, so r's floor holds
             return Huge("h", (n, nprime, i), r.min_bits)
         val = (n - 1) * r + 1
-        if val.bit_length() > cap_bits:
-            return Huge("h", (n, nprime, i), cap_bits + 1)
+        if val.bit_length() > CAP_BITS:
+            return Huge("h", (n, nprime, i), CAP_BITS + 1)
     return val
 
 
@@ -165,17 +165,6 @@ class BoundSpec:
     m: object
     independent_size: object
     vertex_threshold: object
-
-    def describe(self) -> dict:
-        return {
-            "n": self.n,
-            "g": str(self.g),
-            "h_tower": [str(v) for v in self.h_tower],
-            "matching_size": str(self.matching_size),
-            "m": str(self.m),
-            "independent_size": str(self.independent_size),
-            "vertex_threshold": str(self.vertex_threshold),
-        }
 
 
 def bounds(n: int) -> BoundSpec:

@@ -165,12 +165,12 @@ def _pattern(fid: FamilyId) -> Graph:
 # one search engine (``_embed``) behind induced copies, pattern automorphisms,
 # isomorphism, induced paths and Ramsey cliques.
 # Each pattern is compiled once into its search order, the adjacency flags
-# of each depth's vertex to the deeper ones, each depth's degree signature,
-# and each depth's orbit-mates: the deeper vertices to which an automorphism
-# fixing the shallower ones maps it.  The host's degree profile is built
-# once per host (``_degree_profile``) and every distinct signature's
-# candidate mask once per call; the search then keeps one domain per depth
-# and filters the deeper ones with the chosen host vertex's row or
+# of each depth's vertex to the deeper ones, each depth's degree, and each
+# depth's orbit-mates: the deeper vertices to which an automorphism fixing
+# the shallower ones maps it.  A host vertex is a candidate when its degree
+# and co-degree are at least the pattern vertex's (``_degree_masks``, one
+# mask per distinct degree per call); the search then keeps one domain per
+# depth and filters the deeper ones with the chosen host vertex's row or
 # complement row.  An orbit-mate's domain is also cut to host vertices above
 # the chosen one, so the search does not walk the relabellings of a partial
 # copy by pattern automorphisms.
@@ -195,39 +195,20 @@ def _search_order(pat: Graph) -> list[int]:
     return placed
 
 
-@lru_cache(maxsize=1)
-def _degree_profile(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Each vertex's degree and its neighbours' degrees, descending.  One
-    entry, keyed on the rows: the pattern searches of one
-    ``find_witness_any`` call share their host, so they build it once."""
-    deg = tuple(r.bit_count() for r in rows)
-    return deg, tuple(tuple(sorted((deg[w] for w in bits(r)), reverse=True)) for r in rows)
-
-
-def _signature_masks(host: Graph, sigs: tuple[tuple, ...]) -> list[int] | None:
-    """Per depth, the host vertices whose degree, co-degree and sorted
-    neighbour degrees dominate that depth's signature; None when a depth has
-    no candidate.  Each distinct signature's mask is built once."""
-    hn = host.n
-    deg, nbr_degs = _degree_profile(host.rows)
-    masks: dict[tuple, int] = {}
-    for sig in sigs:
-        if sig in masks:
-            continue
-        pdeg, pco, pnbr = sig
-        mask = 0
-        for v in range(hn):
-            d = deg[v]
-            if d < pdeg or hn - 1 - d < pco:
-                continue
-            hnbr = nbr_degs[v]
-            if any(hnbr[i] < pnbr[i] for i in range(pdeg)):
-                continue
-            mask |= 1 << v
-        if not mask:
-            return None
-        masks[sig] = mask
-    return [masks[sig] for sig in sigs]
+def _degree_masks(host: Graph, degs: tuple[int, ...]) -> list[int] | None:
+    """Per depth, the host vertices whose degree and co-degree are at least
+    those of the pattern vertex placed there: for pattern degree d, host
+    degrees d to d + host.n - pat.n.  None when a depth has no candidate.
+    Each distinct degree's mask is built once."""
+    slack = host.n - len(degs)
+    by_degree = [0] * host.n
+    for v, r in enumerate(host.rows):
+        by_degree[r.bit_count()] |= 1 << v
+    # the degree classes are disjoint, so their sum is their union
+    masks = {d: sum(by_degree[d:d + slack + 1]) for d in set(degs)}
+    if not all(masks.values()):
+        return None
+    return [masks[d] for d in degs]
 
 
 class _OutOfNodes(Exception):
@@ -293,14 +274,15 @@ def _embed(
 
 
 def _stabilizer_orbits(
-    pat: Graph, order: tuple[int, ...], adjacency: tuple, sigs: tuple
+    pat: Graph, order: tuple[int, ...], adjacency: tuple, degs: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
     """Per depth k, the vertices w != ``order[k]``, ascending, such that some
     automorphism of ``pat`` fixes each of ``order[:k]`` and maps ``order[k]``
     to w.  Exact: each w is kept only when ``_embed`` finds an embedding of
     ``pat`` into itself with ``order[:k]`` pinned to itself and ``order[k]``
-    on w, which between graphs of equal order is an automorphism."""
-    doms = _signature_masks(pat, sigs)  # each vertex is its own candidate
+    on w, which between graphs of equal order is an automorphism.  Each
+    depth's candidates start as the vertices of its vertex's degree."""
+    doms = _degree_masks(pat, degs)  # each vertex is its own candidate
     full = (1 << pat.n) - 1
     unbroken = ((),) * pat.n
     mates = []
@@ -317,32 +299,26 @@ def _stabilizer_orbits(
 
 
 def _compile_pattern(pat: Graph) -> tuple[
-    tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple, ...], tuple[tuple[int, ...], ...]
+    tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple[int, ...], ...]
 ]:
-    """``(order, flags, sigs, mates)`` for a pattern: the search order; per
+    """``(order, flags, degs, mates)`` for a pattern: the search order; per
     depth k, a flag for each of ``order[k+1:]``, bit 0 set when it is
     adjacent to ``order[k]`` and bit 1 when it is one of ``order[k]``'s
-    orbit-mates; per depth, the signature (degree, co-degree, neighbour
-    degrees descending) that a host vertex must dominate to be a candidate;
-    per depth, the orbit-mates of ``order[k]`` (``_stabilizer_orbits``)."""
+    orbit-mates; per depth, the degree of ``order[k]``, whose degree and
+    co-degree a host vertex must match or exceed to be a candidate
+    (``_degree_masks``); per depth, the orbit-mates of ``order[k]``
+    (``_stabilizer_orbits``)."""
     order = tuple(_search_order(pat))
     adjacency = tuple(
         tuple(int(pat.adjacent(u, w)) for w in order[k + 1:]) for k, u in enumerate(order)
     )
-    sigs = tuple(
-        (
-            pat.degree(u),
-            pat.n - 1 - pat.degree(u),
-            tuple(sorted((pat.degree(q) for q in bits(pat.rows[u])), reverse=True)),
-        )
-        for u in order
-    )
-    mates = _stabilizer_orbits(pat, order, adjacency, sigs)
+    degs = tuple(pat.degree(u) for u in order)
+    mates = _stabilizer_orbits(pat, order, adjacency, degs)
     flags = tuple(
         tuple(a | (w in mates[k]) << 1 for a, w in zip(adjacency[k], order[k + 1:]))
         for k in range(len(order))
     )
-    return order, flags, sigs, mates
+    return order, flags, degs, mates
 
 
 # Only patterns that recur go through the cache: family patterns and Ramsey
@@ -371,9 +347,9 @@ def find_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
     Returns host vertices in pattern order.  The result is the first
     complete assignment of a backtracking search (``_embed``) that places
     pattern vertices in the fixed order of ``_search_order`` and tries each
-    one's candidates in ascending host index; a candidate must dominate the
-    pattern vertex's degree, co-degree and sorted neighbour degrees, and
-    every placement filters the domains of the vertices still to place.
+    one's candidates in ascending host index; a candidate's degree and
+    co-degree must be at least the pattern vertex's, and every placement
+    filters the domains of the vertices still to place.
     Witness output is pinned to this first match: the search order and the
     ascending candidate order are part of the output contract, while
     pruning that only cuts subtrees holding no complete assignment leaves
@@ -399,10 +375,10 @@ def find_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
 
 def _first_embedding(host: Graph, compiled: tuple) -> tuple[int, ...] | None:
     """``find_induced_embedding`` for a pattern compiled as by ``_compile``."""
-    order, flags, sigs, mates = compiled
+    order, flags, degs, mates = compiled
     if not order:
         return ()
-    doms = _signature_masks(host, sigs)
+    doms = _degree_masks(host, degs)
     if doms is None:
         return None
     chosen = _embed(host.rows, flags, mates, doms)
@@ -565,6 +541,8 @@ def find_prime_chain(host: Graph, n: int) -> tuple[int, ...] | None:
     exhaustive: a None is not a proof of absence.  Hosts of more than
     ``ALL_PAIRS_MAX_N`` vertices try only the first ``PAIR_CAP`` seed pairs.
     """
+    if n < 3:
+        raise ValueError("outcome size must be at least 3")
     if host.n < n + 1:
         return None
     path = _find_induced_path(host, n)

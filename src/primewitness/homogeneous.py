@@ -143,14 +143,13 @@ def find_homogeneous_set(g: Graph) -> frozenset[int] | None:
     return None
 
 
-def is_prime(g: Graph, *, small_vacuous: bool = False) -> bool:
+def is_prime(g: Graph) -> bool:
     """True iff the graph has no homogeneous set.
 
-    Graphs on <= 2 vertices satisfy the definition vacuously; the default
-    convention reports them non-prime (the structural results this library
-    implements all start at 3 vertices), and ``small_vacuous=True`` exposes
-    the literal reading.
+    Graphs on <= 2 vertices satisfy the definition vacuously; this library
+    reports them non-prime, since the structural results it implements all
+    start at 3 vertices.
     """
     if g.n <= 2:
-        return small_vacuous
+        return False
     return find_homogeneous_set(g) is None

@@ -24,6 +24,7 @@ from primewitness.witnesses import ChainWitness, Witness
 
 from util import (
     automorphisms,
+    neighbour_degree_cuts,
     random_graph,
     reference_induced_embedding,
     reference_induced_path,
@@ -198,12 +199,16 @@ def test_induced_embedding_matches_reference():
     host = random_graph(rng, 6)
     cases += [(host, Graph.empty(0)), (host, Graph.empty(1)), (host, random_graph(rng, 7))]
     cases += [(Graph.empty(0), Graph.empty(0)), (Graph.empty(0), Graph.empty(1))]
-    found = 0
+    found = cut = 0
     for host, pat in cases:
         emb = find_induced_embedding(host, pat)
         assert emb == reference_induced_embedding(host, pat), (host.rows, pat.rows)
         found += emb is not None
+        cut += neighbour_degree_cuts(host, pat) > 0
     assert 0 < found < len(cases)
+    # the reference's neighbour-degree filter drops candidates that the
+    # engine keeps on some hosts, and the first matches still agree there
+    assert cut > 0
 
 
 _SYMMETRY_FAMILIES = [f for f in Family if f is not Family.PRIME_CHAIN]
@@ -293,6 +298,14 @@ def test_prime_chain_search_on_cycle():
     assert seq is not None and len(seq) == 6
     assert validate_chain(c7, seq) == (True, None)
     assert chain_induces_prime(c7, seq)
+
+
+def test_prime_chain_search_rejects_outcome_size_below_three():
+    # up front, as find_witness_any does, for sizes the chain check and the
+    # induced-path search cannot take
+    for n in (2, 1, 0, -1):
+        with pytest.raises(ValueError, match="outcome size must be at least 3"):
+            find_prime_chain(Graph.path(6), n)
 
 
 def test_induced_path_matches_reference_search():

@@ -57,10 +57,9 @@ def test_small_graph_convention():
     for n in range(3):
         g = Graph.empty(n)
         assert not is_prime(g)
-        assert is_prime(g, small_vacuous=True)
-    # three-vertex graphs are never prime under either reading
+    # three-vertex graphs are never prime
     for g in all_graphs(3):
-        assert not is_prime(g) and not is_prime(g, small_vacuous=True)
+        assert not is_prime(g)
 
 
 def test_brute_force_size_guard():

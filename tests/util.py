@@ -182,11 +182,40 @@ def reference_chain(g: Graph, source: tuple[int, ...], target: int) -> tuple[int
     return (v0, v1, *reversed(path))
 
 
+def _candidate(host: Graph, pat: Graph, p: int, v: int) -> tuple[bool, bool]:
+    """Whether host vertex v passes, as a candidate for pattern vertex p,
+    the degree and co-degree test, and whether it also passes the test that
+    its neighbour degrees, sorted descending, dominate p's."""
+    pdeg = pat.degree(p)
+    if host.degree(v) < pdeg or host.n - 1 - host.degree(v) < pat.n - 1 - pdeg:
+        return False, False
+    pnbr = sorted((pat.degree(q) for q in bits(pat.rows[p])), reverse=True)
+    hnbr = sorted((host.degree(w) for w in bits(host.rows[v])), reverse=True)
+    return True, all(h >= q for h, q in zip(hnbr, pnbr))
+
+
+def neighbour_degree_cuts(host: Graph, pat: Graph) -> int:
+    """How many (pattern vertex, host vertex) pairs pass the degree and
+    co-degree test but fail the neighbour-degree test: the candidates that
+    ``reference_induced_embedding`` drops and ``find_induced_embedding``
+    keeps."""
+    cuts = 0
+    for p in range(pat.n):
+        for v in range(host.n):
+            degree_ok, nbr_ok = _candidate(host, pat, p, v)
+            cuts += degree_ok and not nbr_ok
+    return cuts
+
+
 def reference_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
     """Reference for ``find_induced_embedding``: the same backtracking search
     written plainly, recomputing the candidate filter per pattern vertex and
     copying every domain at each node.  Both must return the same first
-    match."""
+    match.  Its filter also asks a candidate's sorted neighbour degrees to
+    dominate the pattern vertex's, a test the engine does not make; it is
+    sound, so it cuts no embedding, and agreement on hosts where it drops
+    candidates (``neighbour_degree_cuts``) shows that leaving it out of the
+    engine never changed a first match."""
     if pat.n > host.n:
         return None
     if pat.n == 0:
@@ -208,18 +237,7 @@ def reference_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | No
     order = placed
 
     def candidate_mask(p: int) -> int:
-        pdeg = pat.degree(p)
-        pco = pat.n - 1 - pdeg
-        pnbr = sorted((pat.degree(q) for q in bits(pat.rows[p])), reverse=True)
-        mask = 0
-        for v in range(host.n):
-            if host.degree(v) < pdeg or host.n - 1 - host.degree(v) < pco:
-                continue
-            hnbr = sorted((host.degree(w) for w in bits(host.rows[v])), reverse=True)
-            if any(hnbr[i] < pnbr[i] for i in range(len(pnbr))):
-                continue
-            mask |= 1 << v
-        return mask
+        return sum(1 << v for v in range(host.n) if all(_candidate(host, pat, p, v)))
 
     domains = [0] * pat.n
     for p in range(pat.n):
