@@ -173,7 +173,9 @@ def _pattern(fid: FamilyId) -> Graph:
 # depth and filters the deeper ones with the chosen host vertex's row or
 # complement row.  An orbit-mate's domain is also cut to host vertices above
 # the chosen one, so the search does not walk the relabellings of a partial
-# copy by pattern automorphisms.
+# copy by pattern automorphisms.  The deeper domains are filtered deepest
+# first, and a placement is dropped when some deepest j of them hold fewer
+# than j host vertices between them (an all-different cut).
 # None of these cuts changes the first match (see ``find_induced_embedding``).
 # ---------------------------------------------------------------------------
 
@@ -224,18 +226,28 @@ def _embed(
     ``_compile``; depths are placed in order, each one's candidates in
     ascending host index.  The search expands at most ``cap`` partial
     assignments below the last depth; when it needs more it returns None,
-    so with a finite cap a None is not a proof of absence."""
+    so with a finite cap a None is not a proof of absence.
+
+    Inside, each node keeps its domains deepest depth first (the current
+    depth's last), and ``doms`` and each flag tuple are reversed once on
+    entry.  A placement filters the deeper domains in that order and is
+    dropped as soon as one is empty or the deepest j of them hold at most
+    j - 1 host vertices between them: those j depths need j distinct ones,
+    and every domain already excludes each placed vertex.  This is the
+    cheapest part of all-different propagation (Regin, AAAI 1994); it cuts
+    only subtrees with no complete assignment."""
     full = (1 << len(rows)) - 1
     # filters[v][flag & 1]: the complement row and the row of host vertex v
     filters = [(full ^ r ^ (1 << v), r) for v, r in enumerate(rows)]
+    flags = [f[::-1] for f in flags]
     last = len(doms) - 1
     chosen = [0] * len(doms)
     nodes = 0
 
     def dfs(k: int, doms: list[int]) -> bool:
-        # doms[i] is the domain of depth k + i
+        # doms[i] is the domain of depth last - i
         nonlocal nodes
-        dom = doms[0]
+        dom = doms[-1]
         if k == last:
             chosen[k] = (dom & -dom).bit_length() - 1
             return True
@@ -244,7 +256,7 @@ def _embed(
             raise _OutOfNodes
         flag = flags[k]
         breaking = mates[k]
-        tail = doms[1:]
+        tail = doms[:-1]
         while dom:
             low = dom & -dom
             dom ^= low
@@ -256,9 +268,11 @@ def _embed(
                 above = -(low << 1)
                 filt = (crow, row, crow & above, row & above)
             nxt = []
+            union = 0
             for d, f in zip(tail, flag):
                 d &= filt[f]
-                if not d:
+                union |= d
+                if not d or union.bit_count() <= len(nxt):
                     break
                 nxt.append(d)
             else:
@@ -268,7 +282,7 @@ def _embed(
         return False
 
     try:
-        return chosen if dfs(0, doms) else None
+        return chosen if dfs(0, doms[::-1]) else None
     except _OutOfNodes:
         return None
 
@@ -353,10 +367,13 @@ def find_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
     Witness output is pinned to this first match: the search order and the
     ascending candidate order are part of the output contract, while
     pruning that only cuts subtrees holding no complete assignment leaves
-    it unchanged.  The same engine finds the pattern's automorphisms
-    (``_stabilizer_orbits``), decides isomorphism (``find_isomorphism``),
-    finds induced paths (``_find_induced_path``) and, with K_t as the
-    pattern, Ramsey cliques (``extraction.ramsey_monochromatic``).
+    it unchanged.  Two cuts of that kind are made: the orbit cuts below,
+    and the all-different cut of ``_embed``, which drops a placement when
+    the depths still to place cannot all land on distinct host vertices.
+    The same engine finds the pattern's automorphisms (``_stabilizer_orbits``),
+    decides isomorphism (``find_isomorphism``), finds induced paths
+    (``_find_induced_path``) and, with K_t as the pattern, Ramsey cliques
+    (``extraction.ramsey_monochromatic``).
 
     Symmetry breaking: when depth k places host vertex v, every orbit-mate
     w of ``order[k]`` (some automorphism fixing ``order[:k]`` maps
@@ -525,7 +542,9 @@ def find_witness_any(host: Graph, n: int) -> Witness | ChainWitness | None:
 # find_prime_chain tries every seed pair on hosts of up to ALL_PAIRS_MAX_N
 # vertices and the first PAIR_CAP pairs on larger ones; the induced-path
 # search gives up after PATH_NODE_BUDGET search nodes.  Outputs depend on
-# all three.
+# all three.  The budget counts ``_embed``'s expansions, and the
+# all-different cut leaves fewer of them than the plain search expands, so
+# a path search that once ran out may now finish and return a path.
 ALL_PAIRS_MAX_N = 64
 PAIR_CAP = 512
 PATH_NODE_BUDGET = 200_000

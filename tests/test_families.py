@@ -23,6 +23,7 @@ from primewitness.oracles import naive_induced_search
 from primewitness.witnesses import ChainWitness, Witness
 
 from util import (
+    all_different_cuts,
     automorphisms,
     neighbour_degree_cuts,
     random_graph,
@@ -199,16 +200,40 @@ def test_induced_embedding_matches_reference():
     host = random_graph(rng, 6)
     cases += [(host, Graph.empty(0)), (host, Graph.empty(1)), (host, random_graph(rng, 7))]
     cases += [(Graph.empty(0), Graph.empty(0)), (Graph.empty(0), Graph.empty(1))]
-    found = cut = 0
+    found = cut = fired = 0
     for host, pat in cases:
         emb = find_induced_embedding(host, pat)
         assert emb == reference_induced_embedding(host, pat), (host.rows, pat.rows)
         found += emb is not None
         cut += neighbour_degree_cuts(host, pat) > 0
+        fired += all_different_cuts(host, pat) > 0
     assert 0 < found < len(cases)
     # the reference's neighbour-degree filter drops candidates that the
     # engine keeps on some hosts, and the first matches still agree there
     assert cut > 0
+    # the engine's all-different cut drops placements that the reference
+    # expands on some hosts, and the first matches still agree there
+    assert fired > 0
+
+
+@pytest.mark.parametrize("host, pat, nodes, cuts", [
+    # the paw: placing the middle of P3 on a2 leaves both ends the one
+    # vertex b2, a suffix union too short for two
+    (generate(FamilyId(Family.HALF_SPLIT, 2)).graph, Graph.path(3), 2, 1),
+    # placing P4's first inner vertex on a1 empties the domain of its end
+    # neighbour, while the deeper domain of the far end keeps a2 and a3
+    (generate(FamilyId(Family.THICK_SPIDER, 3)).graph, Graph.path(4), 3, 0),
+])
+def test_embed_node_counts_are_pinned(host, pat, nodes, cuts):
+    # the search reaches its first match after exactly ``nodes`` expansions:
+    # it returns it at that cap and gives up one below
+    order, flags, degs, mates = families._compile(pat)
+    doms = families._degree_masks(host, degs)
+    chosen = families._embed(host.rows, flags, mates, doms, nodes)
+    emb = find_induced_embedding(host, pat)
+    assert chosen is not None and tuple(chosen[order.index(u)] for u in range(pat.n)) == emb
+    assert families._embed(host.rows, flags, mates, doms, nodes - 1) is None
+    assert all_different_cuts(host, pat) == cuts
 
 
 _SYMMETRY_FAMILIES = [f for f in Family if f is not Family.PRIME_CHAIN]

@@ -2,11 +2,11 @@
 construction, automorphisms by brute force, and the references that
 ``closure`` (round-based absorption), ``find_homogeneous_set`` (all-pairs
 closure scan), ``find_chain`` (per-vertex auxiliary-digraph search),
-``find_induced_embedding`` (plain backtracking), the induced-path search
-(the hand-written path search with its node budget) and
-``find_witness_any`` (every theorem pattern searched in turn) must agree
-with.  Graph sampling and exhaustive enumeration are the library's oracles,
-re-exported here."""
+``find_induced_embedding`` (plain backtracking, with no all-different
+cut), the induced-path search (the hand-written path search with its node
+budget) and ``find_witness_any`` (every theorem pattern searched in turn)
+must agree with.  Graph sampling and exhaustive enumeration are the
+library's oracles, re-exported here."""
 
 from __future__ import annotations
 
@@ -215,11 +215,28 @@ def reference_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | No
     dominate the pattern vertex's, a test the engine does not make; it is
     sound, so it cuts no embedding, and agreement on hosts where it drops
     candidates (``neighbour_degree_cuts``) shows that leaving it out of the
-    engine never changed a first match."""
+    engine never changed a first match.  It makes no all-different cut, so
+    agreement on hosts where the engine's cut fires (``all_different_cuts``)
+    shows that the cut keeps the first match."""
+    return _reference_search(host, pat)[0]
+
+
+def all_different_cuts(host: Graph, pat: Graph) -> int:
+    """How many placements of ``reference_induced_embedding``'s search, up
+    to its first match, leave every deeper domain non-empty while the
+    domains of some deepest j depths hold fewer than j host vertices: the
+    placements that the engine's all-different cut drops and the reference
+    expands."""
+    return _reference_search(host, pat)[1]
+
+
+def _reference_search(host: Graph, pat: Graph) -> tuple[tuple[int, ...] | None, int]:
+    """The first match of the plain search, and its count of placements
+    that the all-different cut would drop."""
     if pat.n > host.n:
-        return None
+        return None, 0
     if pat.n == 0:
-        return ()
+        return (), 0
 
     placed: list[int] = []
     remaining = set(range(pat.n))
@@ -243,12 +260,14 @@ def reference_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | No
     for p in range(pat.n):
         domains[p] = candidate_mask(p)
         if domains[p] == 0:
-            return None
+            return None, 0
 
     assign = [-1] * pat.n
     hrows = host.rows
+    cuts = 0
 
     def dfs(k: int, doms: list[int]) -> bool:
+        nonlocal cuts
         if k == pat.n:
             return True
         u = order[k]
@@ -266,15 +285,19 @@ def reference_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | No
                     break
                 nxt[w] = nd
             if ok:
+                union = 0
+                for j, w in enumerate(reversed(order[k + 1:]), 1):
+                    union |= nxt[w]
+                    if union.bit_count() < j:
+                        cuts += 1
+                        break
                 assign[u] = v
                 if dfs(k + 1, nxt):
                     return True
                 assign[u] = -1
         return False
 
-    if dfs(0, domains):
-        return tuple(assign)
-    return None
+    return (tuple(assign) if dfs(0, domains) else None), cuts
 
 
 def reference_induced_path(host: Graph, n: int, node_budget: int) -> tuple[tuple[int, ...] | None, bool]:
