@@ -174,8 +174,9 @@ def _pattern(fid: FamilyId) -> Graph:
 # complement row.  An orbit-mate's domain is also cut to host vertices above
 # the chosen one, so the search does not walk the relabellings of a partial
 # copy by pattern automorphisms.  The deeper domains are filtered deepest
-# first, and a placement is dropped when some deepest j of them hold fewer
-# than j host vertices between them (an all-different cut).
+# first, and a placement is dropped when some deepest j of them, or some
+# shallowest j of them, hold fewer than j host vertices between them (an
+# all-different cut tested from both ends).
 # None of these cuts changes the first match (see ``find_induced_embedding``).
 # ---------------------------------------------------------------------------
 
@@ -217,6 +218,17 @@ class _OutOfNodes(Exception):
     """Raised inside ``_embed`` when its node cap runs out."""
 
 
+def _window_short(domains) -> bool:
+    """Whether the first j of ``domains`` hold fewer than j host vertices
+    between them, for some j."""
+    union = 0
+    for j, d in enumerate(domains, 1):
+        union |= d
+        if union.bit_count() < j:
+            return True
+    return False
+
+
 def _embed(
     rows: tuple[int, ...], flags: tuple, mates: tuple, doms: list[int], cap: float = math.inf
 ) -> list[int] | None:
@@ -233,9 +245,12 @@ def _embed(
     entry.  A placement filters the deeper domains in that order and is
     dropped as soon as one is empty or the deepest j of them hold at most
     j - 1 host vertices between them: those j depths need j distinct ones,
-    and every domain already excludes each placed vertex.  This is the
-    cheapest part of all-different propagation (Regin, AAAI 1994); it cuts
-    only subtrees with no complete assignment."""
+    and every domain already excludes each placed vertex.  A placement that
+    passes is tested from the other end too (``_window_short``), and
+    dropped when the next j depths hold fewer than j; the test is skipped
+    when the next depth's domain is too large for any such window to be
+    short.  This is the cheapest part of all-different propagation (Regin,
+    AAAI 1994); it cuts only subtrees with no complete assignment."""
     full = (1 << len(rows)) - 1
     # filters[v][flag & 1]: the complement row and the row of host vertex v
     filters = [(full ^ r ^ (1 << v), r) for v, r in enumerate(rows)]
@@ -276,6 +291,10 @@ def _embed(
                     break
                 nxt.append(d)
             else:
+                # every window but the full one, tested above, holds the
+                # next depth's domain, so none is short while it is this large
+                if nxt[-1].bit_count() < len(nxt) - 1 and _window_short(reversed(nxt)):
+                    continue
                 chosen[k] = v
                 if dfs(k + 1, nxt):
                     return True
@@ -369,7 +388,8 @@ def find_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
     pruning that only cuts subtrees holding no complete assignment leaves
     it unchanged.  Two cuts of that kind are made: the orbit cuts below,
     and the all-different cut of ``_embed``, which drops a placement when
-    the depths still to place cannot all land on distinct host vertices.
+    the deepest j or the shallowest j of the depths still to place cannot
+    land on j distinct host vertices.
     The same engine finds the pattern's automorphisms (``_stabilizer_orbits``),
     decides isomorphism (``find_isomorphism``), finds induced paths
     (``_find_induced_path``) and, with K_t as the pattern, Ramsey cliques
@@ -543,8 +563,9 @@ def find_witness_any(host: Graph, n: int) -> Witness | ChainWitness | None:
 # vertices and the first PAIR_CAP pairs on larger ones; the induced-path
 # search gives up after PATH_NODE_BUDGET search nodes.  Outputs depend on
 # all three.  The budget counts ``_embed``'s expansions, and the
-# all-different cut leaves fewer of them than the plain search expands, so
-# a path search that once ran out may now finish and return a path.
+# all-different cut, tested from both ends of the depths still to place,
+# leaves fewer of them than the plain search expands, so a path search that
+# once ran out may now finish and return a path.
 ALL_PAIRS_MAX_N = 64
 PAIR_CAP = 512
 PATH_NODE_BUDGET = 200_000

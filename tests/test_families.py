@@ -30,6 +30,7 @@ from util import (
     reference_induced_embedding,
     reference_induced_path,
     reference_witness_any,
+    shallow_window_cuts,
 )
 
 
@@ -200,31 +201,40 @@ def test_induced_embedding_matches_reference():
     host = random_graph(rng, 6)
     cases += [(host, Graph.empty(0)), (host, Graph.empty(1)), (host, random_graph(rng, 7))]
     cases += [(Graph.empty(0), Graph.empty(0)), (Graph.empty(0), Graph.empty(1))]
-    found = cut = fired = 0
+    found = cut = fired = shallow = 0
     for host, pat in cases:
         emb = find_induced_embedding(host, pat)
         assert emb == reference_induced_embedding(host, pat), (host.rows, pat.rows)
         found += emb is not None
         cut += neighbour_degree_cuts(host, pat) > 0
         fired += all_different_cuts(host, pat) > 0
+        shallow += shallow_window_cuts(host, pat) > 0
     assert 0 < found < len(cases)
     # the reference's neighbour-degree filter drops candidates that the
     # engine keeps on some hosts, and the first matches still agree there
     assert cut > 0
     # the engine's all-different cut drops placements that the reference
-    # expands on some hosts, and the first matches still agree there
+    # expands on some hosts, from the deepest end and from the shallowest
+    # end, and the first matches still agree there
     assert fired > 0
+    assert shallow > 0
 
 
-@pytest.mark.parametrize("host, pat, nodes, cuts", [
+@pytest.mark.parametrize("host, pat, nodes, cuts, shallow", [
     # the paw: placing the middle of P3 on a2 leaves both ends the one
     # vertex b2, a suffix union too short for two
-    (generate(FamilyId(Family.HALF_SPLIT, 2)).graph, Graph.path(3), 2, 1),
+    (generate(FamilyId(Family.HALF_SPLIT, 2)).graph, Graph.path(3), 2, 1, 0),
     # placing P4's first inner vertex on a1 empties the domain of its end
     # neighbour, while the deeper domain of the far end keeps a2 and a3
-    (generate(FamilyId(Family.THICK_SPIDER, 3)).graph, Graph.path(4), 3, 0),
+    (generate(FamilyId(Family.THICK_SPIDER, 3)).graph, Graph.path(4), 3, 0, 0),
+    # P3 plus an isolated vertex: placing the middle of P3 on a3 leaves both
+    # ends the one vertex b3, while the deepest domain, the isolated
+    # vertex's, keeps a1 and a2, so every deepest window passes and only
+    # the shallowest window of two is short
+    (generate(FamilyId(Family.HALF_SPLIT, 3)).graph,
+     generate(FamilyId(Family.HALF_SPLIT, 2, True)).graph, 3, 0, 1),
 ])
-def test_embed_node_counts_are_pinned(host, pat, nodes, cuts):
+def test_embed_node_counts_are_pinned(host, pat, nodes, cuts, shallow):
     # the search reaches its first match after exactly ``nodes`` expansions:
     # it returns it at that cap and gives up one below
     order, flags, degs, mates = families._compile(pat)
@@ -234,6 +244,7 @@ def test_embed_node_counts_are_pinned(host, pat, nodes, cuts):
     assert chosen is not None and tuple(chosen[order.index(u)] for u in range(pat.n)) == emb
     assert families._embed(host.rows, flags, mates, doms, nodes - 1) is None
     assert all_different_cuts(host, pat) == cuts
+    assert shallow_window_cuts(host, pat) == shallow
 
 
 _SYMMETRY_FAMILIES = [f for f in Family if f is not Family.PRIME_CHAIN]

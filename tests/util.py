@@ -216,8 +216,9 @@ def reference_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | No
     sound, so it cuts no embedding, and agreement on hosts where it drops
     candidates (``neighbour_degree_cuts``) shows that leaving it out of the
     engine never changed a first match.  It makes no all-different cut, so
-    agreement on hosts where the engine's cut fires (``all_different_cuts``)
-    shows that the cut keeps the first match."""
+    agreement on hosts where the engine's cut fires from either end
+    (``all_different_cuts``, ``shallow_window_cuts``) shows that the cut
+    keeps the first match."""
     return _reference_search(host, pat)[0]
 
 
@@ -230,13 +231,23 @@ def all_different_cuts(host: Graph, pat: Graph) -> int:
     return _reference_search(host, pat)[1]
 
 
-def _reference_search(host: Graph, pat: Graph) -> tuple[tuple[int, ...] | None, int]:
-    """The first match of the plain search, and its count of placements
-    that the all-different cut would drop."""
+def shallow_window_cuts(host: Graph, pat: Graph) -> int:
+    """How many placements of the same search, up to its first match, pass
+    every deepest-window test of ``all_different_cuts`` while the domains
+    of some shallowest j depths still to place hold fewer than j host
+    vertices: the placements that only the engine's shallowest-first test
+    drops."""
+    return _reference_search(host, pat)[2]
+
+
+def _reference_search(host: Graph, pat: Graph) -> tuple[tuple[int, ...] | None, int, int]:
+    """The first match of the plain search, and its counts of placements
+    that the all-different cut would drop from the deepest end and, of the
+    rest, from the shallowest end."""
     if pat.n > host.n:
-        return None, 0
+        return None, 0, 0
     if pat.n == 0:
-        return (), 0
+        return (), 0, 0
 
     placed: list[int] = []
     remaining = set(range(pat.n))
@@ -260,14 +271,14 @@ def _reference_search(host: Graph, pat: Graph) -> tuple[tuple[int, ...] | None, 
     for p in range(pat.n):
         domains[p] = candidate_mask(p)
         if domains[p] == 0:
-            return None, 0
+            return None, 0, 0
 
     assign = [-1] * pat.n
     hrows = host.rows
-    cuts = 0
+    cuts = shallow = 0
 
     def dfs(k: int, doms: list[int]) -> bool:
-        nonlocal cuts
+        nonlocal cuts, shallow
         if k == pat.n:
             return True
         u = order[k]
@@ -291,13 +302,20 @@ def _reference_search(host: Graph, pat: Graph) -> tuple[tuple[int, ...] | None, 
                     if union.bit_count() < j:
                         cuts += 1
                         break
+                else:
+                    union = 0
+                    for j, w in enumerate(order[k + 1:], 1):
+                        union |= nxt[w]
+                        if union.bit_count() < j:
+                            shallow += 1
+                            break
                 assign[u] = v
                 if dfs(k + 1, nxt):
                     return True
                 assign[u] = -1
         return False
 
-    return (tuple(assign) if dfs(0, domains) else None), cuts
+    return (tuple(assign) if dfs(0, domains) else None), cuts, shallow
 
 
 def reference_induced_path(host: Graph, n: int, node_budget: int) -> tuple[tuple[int, ...] | None, bool]:
