@@ -3,12 +3,12 @@ trimming.
 
 A chain is a sequence of distinct vertices in which every vertex's immediate
 predecessor is its unique neighbor or its unique non-neighbor among all
-predecessors.  Chains certify primeness reachability: a chain from a
-two-vertex set I to v exists exactly when no homogeneous set contains I while
-excluding v.  The search takes a shortest path in the auxiliary digraph of
-that equivalence's constructive proof, read off the parents of
-``homogeneous._reach``, the same breadth-first search that computes seeded
-closures.
+predecessors; its length is its number of steps, one less than its vertices.
+Chains certify primeness reachability: a chain from a two-vertex set I to v
+exists exactly when no homogeneous set contains I while excluding v.  The
+search takes a shortest path in the auxiliary digraph of that equivalence's
+constructive proof, read off the parents of ``homogeneous._reach``, the same
+breadth-first search that computes seeded closures.
 """
 
 from __future__ import annotations
@@ -17,11 +17,6 @@ from typing import Iterable, Sequence
 
 from .graphs import Graph, bits, mask_of
 from .homogeneous import _reach
-
-
-def chain_length(seq: Sequence[int]) -> int:
-    """A chain's length is its number of steps, one less than its vertices."""
-    return len(seq) - 1
 
 
 def validate_chain(
@@ -112,7 +107,7 @@ def chain_induces_prime(g: Graph, seq: Sequence[int]) -> bool:
     other than the second-to-last vertex and a non-neighbor other than the
     second-to-last vertex.  Equivalent to primality of the induced subgraph.
     """
-    if chain_length(seq) < 3:
+    if len(seq) - 1 < 3:
         raise ValueError("criterion needs a chain of length at least 3")
     ok, bad = validate_chain(g, seq)
     if not ok:
@@ -141,7 +136,7 @@ def trim_chain_to_prime(g: Graph, seq: Sequence[int]) -> tuple[int, ...]:
     proof also complements the graph, but the prime-chain criterion is
     complement-invariant, so the two drops cover all four normalizations.)
     """
-    if chain_length(seq) <= 3:
+    if len(seq) - 1 <= 3:
         raise ValueError("trimming needs a chain of length greater than 3")
     ok, bad = validate_chain(g, seq)
     if not ok:

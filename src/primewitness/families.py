@@ -163,19 +163,20 @@ def _pattern(fid: FamilyId) -> Graph:
 # ---------------------------------------------------------------------------
 # Induced-copy search: exact backtracking over bitmask candidate domains, the
 # one search engine (``_embed``) behind induced copies, pattern automorphisms,
-# isomorphism, induced paths and Ramsey cliques.
-# Each pattern is compiled once into its search order, the adjacency flags
-# of each depth's vertex to the deeper ones, each depth's degree, and each
-# depth's orbit-mates: the deeper vertices to which an automorphism fixing
-# the shallower ones maps it.  A host vertex is a candidate when its degree
-# and co-degree are at least the pattern vertex's (``_degree_masks``, one
-# mask per distinct degree per call); the search then keeps one domain per
-# depth and filters the deeper ones with the chosen host vertex's row or
-# complement row.  An orbit-mate's domain is also cut to host vertices above
-# the chosen one, so the search does not walk the relabellings of a partial
-# copy by pattern automorphisms.  The deeper domains are filtered deepest
-# first, and a placement is dropped when some deepest j of them, or some
-# shallowest j of them, hold fewer than j host vertices between them (an
+# isomorphism, induced paths and Ramsey cliques.  It is one loop over an
+# explicit per-depth stack, so its depth is not bounded by the recursion limit.
+# Each pattern is compiled once into its search order, each depth's degree,
+# and each depth's flags for the deeper vertices: whether each is adjacent to
+# the depth's vertex, and whether it is an orbit-mate, a vertex to which an
+# automorphism fixing the shallower ones maps it.  A host vertex is a
+# candidate when its degree and co-degree are at least the pattern vertex's
+# (``_degree_masks``, one mask per distinct degree per call); the search then
+# keeps one domain per depth and filters the deeper ones with the chosen host
+# vertex's row or complement row.  An orbit-mate's domain is also cut to host
+# vertices above the chosen one, so the search does not walk the relabellings
+# of a partial copy by pattern automorphisms.  The deeper domains are filtered
+# deepest first, and a placement is dropped when some deepest j of them, or
+# some shallowest j of them, hold fewer than j host vertices between them (an
 # all-different cut tested from both ends).
 # None of these cuts changes the first match (see ``find_induced_embedding``).
 # ---------------------------------------------------------------------------
@@ -214,10 +215,6 @@ def _degree_masks(host: Graph, degs: tuple[int, ...]) -> list[int] | None:
     return [masks[d] for d in degs]
 
 
-class _OutOfNodes(Exception):
-    """Raised inside ``_embed`` when its node cap runs out."""
-
-
 def _window_short(domains) -> bool:
     """Whether the first j of ``domains`` hold fewer than j host vertices
     between them, for some j."""
@@ -230,19 +227,22 @@ def _window_short(domains) -> bool:
 
 
 def _embed(
-    rows: tuple[int, ...], flags: tuple, mates: tuple, doms: list[int], cap: float = math.inf
+    rows: tuple[int, ...], flags: tuple, doms: list[int], cap: float = math.inf
 ) -> list[int] | None:
     """The host vertex chosen at each depth in the first complete assignment
     of the backtracking search, or None.  ``rows`` are the host's rows,
-    ``doms`` each depth's initial domain, and ``flags``/``mates`` as in
-    ``_compile``; depths are placed in order, each one's candidates in
-    ascending host index.  The search expands at most ``cap`` partial
-    assignments below the last depth; when it needs more it returns None,
-    so with a finite cap a None is not a proof of absence.
+    ``doms`` each depth's initial domain, and ``flags`` as in ``_compile``;
+    depths are placed in order, each one's candidates in ascending host
+    index.  The search expands at most ``cap`` partial assignments below the
+    last depth; when it needs more it returns None, so with a finite cap a
+    None is not a proof of absence.
 
-    Inside, each node keeps its domains deepest depth first (the current
-    depth's last), and ``doms`` and each flag tuple are reversed once on
-    entry.  A placement filters the deeper domains in that order and is
+    The search is one loop over an explicit stack, so its depth is not
+    bounded by Python's recursion limit.  The depth being placed keeps its
+    untried candidates and the domains of the deeper depths, deepest first
+    (each flag tuple is reversed once on entry to match); the stack keeps
+    the same pair for each shallower depth, to resume when this one runs
+    out.  A placement filters the deeper domains in that order and is
     dropped as soon as one is empty or the deepest j of them hold at most
     j - 1 host vertices between them: those j depths need j distinct ones,
     and every domain already excludes each placed vertex.  A placement that
@@ -250,60 +250,63 @@ def _embed(
     dropped when the next j depths hold fewer than j; the test is skipped
     when the next depth's domain is too large for any such window to be
     short.  This is the cheapest part of all-different propagation (Regin,
-    AAAI 1994); it cuts only subtrees with no complete assignment."""
+    AAAI 1994); it cuts only subtrees with no complete assignment.  A depth
+    with an orbit-mate (a deeper flag with bit 1 set) also cuts that mate's
+    domain to host vertices above the one it places."""
     full = (1 << len(rows)) - 1
     # filters[v][flag & 1]: the complement row and the row of host vertex v
     filters = [(full ^ r ^ (1 << v), r) for v, r in enumerate(rows)]
     flags = [f[::-1] for f in flags]
+    breaking = [max(f, default=0) > 1 for f in flags]
     last = len(doms) - 1
-    chosen = [0] * len(doms)
-    nodes = 0
-
-    def dfs(k: int, doms: list[int]) -> bool:
-        # doms[i] is the domain of depth last - i
-        nonlocal nodes
-        dom = doms[-1]
-        if k == last:
-            chosen[k] = (dom & -dom).bit_length() - 1
-            return True
-        nodes += 1
-        if nodes > cap:
-            raise _OutOfNodes
-        flag = flags[k]
-        breaking = mates[k]
-        tail = doms[:-1]
-        while dom:
-            low = dom & -dom
-            dom ^= low
-            v = low.bit_length() - 1
-            filt = filters[v]
-            if breaking:
-                # flags 2 and 3 also keep only host vertices above v
-                crow, row = filt
-                above = -(low << 1)
-                filt = (crow, row, crow & above, row & above)
-            nxt = []
-            union = 0
-            for d, f in zip(tail, flag):
-                d &= filt[f]
-                union |= d
-                if not d or union.bit_count() <= len(nxt):
-                    break
-                nxt.append(d)
-            else:
-                # every window but the full one, tested above, holds the
-                # next depth's domain, so none is short while it is this large
-                if nxt[-1].bit_count() < len(nxt) - 1 and _window_short(reversed(nxt)):
-                    continue
-                chosen[k] = v
-                if dfs(k + 1, nxt):
-                    return True
-        return False
-
-    try:
-        return chosen if dfs(0, doms[::-1]) else None
-    except _OutOfNodes:
+    if not last:
+        return [(doms[0] & -doms[0]).bit_length() - 1]
+    if cap < 1:  # depth 0 is the first expansion
         return None
+    chosen = [0] * len(doms)
+    k, nodes = 0, 1
+    # depth k's untried candidates, and tail[i] the domain of depth last - i
+    dom, tail = doms[0], doms[:0:-1]
+    stack = []  # the same pair for each shallower depth
+    while True:
+        if not dom:
+            if not stack:
+                return None
+            k -= 1
+            dom, tail = stack.pop()
+            continue
+        low = dom & -dom
+        dom ^= low
+        v = low.bit_length() - 1
+        filt = filters[v]
+        if breaking[k]:
+            # flags 2 and 3 also keep only host vertices above v
+            crow, row = filt
+            above = -(low << 1)
+            filt = (crow, row, crow & above, row & above)
+        nxt = []
+        union = 0
+        for d, f in zip(tail, flags[k]):
+            d &= filt[f]
+            union |= d
+            if not d or union.bit_count() <= len(nxt):
+                break
+            nxt.append(d)
+        else:
+            # every window but the full one, tested above, holds the
+            # next depth's domain, so none is short while it is this large
+            if nxt[-1].bit_count() < len(nxt) - 1 and _window_short(reversed(nxt)):
+                continue
+            chosen[k] = v
+            k += 1
+            if k == last:
+                chosen[k] = (nxt[0] & -nxt[0]).bit_length() - 1
+                return chosen
+            nodes += 1
+            if nodes > cap:
+                return None
+            stack.append((dom, tail))
+            dom, tail = nxt.pop(), nxt
 
 
 def _stabilizer_orbits(
@@ -317,13 +320,12 @@ def _stabilizer_orbits(
     depth's candidates start as the vertices of its vertex's degree."""
     doms = _degree_masks(pat, degs)  # each vertex is its own candidate
     full = (1 << pat.n) - 1
-    unbroken = ((),) * pat.n
     mates = []
     for k, u in enumerate(order):
         # doms[i] is the domain of depth k + i with order[:k] pinned to itself
         mates.append(tuple(
             w for w in bits(doms[0] & ~(1 << u))
-            if _embed(pat.rows, adjacency[k:], unbroken, [1 << w] + doms[1:]) is not None
+            if _embed(pat.rows, adjacency[k:], [1 << w] + doms[1:]) is not None
         ))
         row = pat.rows[u]
         filt = (full ^ row ^ (1 << u), row)
@@ -332,15 +334,14 @@ def _stabilizer_orbits(
 
 
 def _compile_pattern(pat: Graph) -> tuple[
-    tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple[int, ...], ...]
+    tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]
 ]:
-    """``(order, flags, degs, mates)`` for a pattern: the search order; per
-    depth k, a flag for each of ``order[k+1:]``, bit 0 set when it is
-    adjacent to ``order[k]`` and bit 1 when it is one of ``order[k]``'s
-    orbit-mates; per depth, the degree of ``order[k]``, whose degree and
-    co-degree a host vertex must match or exceed to be a candidate
-    (``_degree_masks``); per depth, the orbit-mates of ``order[k]``
-    (``_stabilizer_orbits``)."""
+    """``(order, flags, degs)`` for a pattern: the search order; per depth
+    k, a flag for each of ``order[k+1:]``, bit 0 set when it is adjacent to
+    ``order[k]`` and bit 1 when it is one of ``order[k]``'s orbit-mates
+    (``_stabilizer_orbits``); per depth, the degree of ``order[k]``, whose
+    degree and co-degree a host vertex must match or exceed to be a
+    candidate (``_degree_masks``)."""
     order = tuple(_search_order(pat))
     adjacency = tuple(
         tuple(int(pat.adjacent(u, w)) for w in order[k + 1:]) for k, u in enumerate(order)
@@ -351,7 +352,7 @@ def _compile_pattern(pat: Graph) -> tuple[
         tuple(a | (w in mates[k]) << 1 for a, w in zip(adjacency[k], order[k + 1:]))
         for k in range(len(order))
     )
-    return order, flags, degs, mates
+    return order, flags, degs
 
 
 # Only patterns that recur go through the cache: family patterns and Ramsey
@@ -412,13 +413,13 @@ def find_induced_embedding(host: Graph, pat: Graph) -> tuple[int, ...] | None:
 
 def _first_embedding(host: Graph, compiled: tuple) -> tuple[int, ...] | None:
     """``find_induced_embedding`` for a pattern compiled as by ``_compile``."""
-    order, flags, degs, mates = compiled
+    order, flags, degs = compiled
     if not order:
         return ()
     doms = _degree_masks(host, degs)
     if doms is None:
         return None
-    chosen = _embed(host.rows, flags, mates, doms)
+    chosen = _embed(host.rows, flags, doms)
     if chosen is None:
         return None
     assign = [0] * len(order)
@@ -562,10 +563,7 @@ def find_witness_any(host: Graph, n: int) -> Witness | ChainWitness | None:
 # find_prime_chain tries every seed pair on hosts of up to ALL_PAIRS_MAX_N
 # vertices and the first PAIR_CAP pairs on larger ones; the induced-path
 # search gives up after PATH_NODE_BUDGET search nodes.  Outputs depend on
-# all three.  The budget counts ``_embed``'s expansions, and the
-# all-different cut, tested from both ends of the depths still to place,
-# leaves fewer of them than the plain search expands, so a path search that
-# once ran out may now finish and return a path.
+# all three.  The budget counts ``_embed``'s expansions.
 ALL_PAIRS_MAX_N = 64
 PAIR_CAP = 512
 PATH_NODE_BUDGET = 200_000
@@ -606,9 +604,7 @@ def _find_induced_path(host: Graph, n: int) -> tuple[int, ...] | None:
     d is placed at depth d: adjacent to the next one, non-adjacent to the
     later ones."""
     flags = tuple(tuple(int(w == d + 1) for w in range(d + 1, n + 1)) for d in range(n + 1))
-    chosen = _embed(
-        host.rows, flags, ((),) * (n + 1), [host.vertex_mask()] * (n + 1), PATH_NODE_BUDGET
-    )
+    chosen = _embed(host.rows, flags, [host.vertex_mask()] * (n + 1), PATH_NODE_BUDGET)
     return None if chosen is None else tuple(chosen)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -237,12 +238,12 @@ def test_induced_embedding_matches_reference():
 def test_embed_node_counts_are_pinned(host, pat, nodes, cuts, shallow):
     # the search reaches its first match after exactly ``nodes`` expansions:
     # it returns it at that cap and gives up one below
-    order, flags, degs, mates = families._compile(pat)
+    order, flags, degs = families._compile(pat)
     doms = families._degree_masks(host, degs)
-    chosen = families._embed(host.rows, flags, mates, doms, nodes)
+    chosen = families._embed(host.rows, flags, doms, nodes)
     emb = find_induced_embedding(host, pat)
     assert chosen is not None and tuple(chosen[order.index(u)] for u in range(pat.n)) == emb
-    assert families._embed(host.rows, flags, mates, doms, nodes - 1) is None
+    assert families._embed(host.rows, flags, doms, nodes - 1) is None
     assert all_different_cuts(host, pat) == cuts
     assert shallow_window_cuts(host, pat) == shallow
 
@@ -257,19 +258,18 @@ def test_orbit_mates_are_stabilizer_orbits(fam, comp):
     # every shallower vertex, less order[k] itself: no more (that would cut
     # the first match) and no less (that would lose pruning)
     pat = generate(FamilyId(fam, 3, comp)).graph
-    order, flags, _, mates = families._compile(pat)
+    order, flags, _ = families._compile(pat)
     auts = automorphisms(pat)
     for k, u in enumerate(order):
         orbit = {s[u] for s in auts if all(s[x] == x for x in order[:k])}
-        assert set(mates[k]) == orbit - {u}, (k, u)
-        assert [f >> 1 for f in flags[k]] == [w in mates[k] for w in order[k + 1:]]
+        mates = {w for w, f in zip(order[k + 1:], flags[k]) if f >> 1}
+        assert mates == orbit - {u}, (k, u)
 
 
 def test_asymmetric_pattern_has_no_orbit_constraints():
     pat = generate(FamilyId(Family.HALF_SPLIT_APEX, 3)).graph
-    _, flags, _, mates = families._compile(pat)
+    _, flags, _ = families._compile(pat)
     assert automorphisms(pat) == [tuple(range(pat.n))]
-    assert not any(mates)
     assert all(f < 2 for flag in flags for f in flag)
 
 
@@ -336,6 +336,19 @@ def test_prime_chain_search_on_cycle():
     assert chain_induces_prime(c7, seq)
 
 
+def test_prime_chain_search_from_seed_pairs():
+    # the complement of P9 has no induced P6: its vertices would induce the
+    # complement of P6 in P9, a connected graph that is not a path, while
+    # every connected induced subgraph of a path is a path.  So the chain
+    # comes from the seed-pair phase.
+    host = complement(Graph.path(9))
+    assert families._find_induced_path(host, 5) is None
+    seq = find_prime_chain(host, 5)
+    assert seq is not None and len(seq) == 6
+    assert validate_chain(host, seq) == (True, None)
+    assert chain_induces_prime(host, seq)
+
+
 def test_prime_chain_search_rejects_outcome_size_below_three():
     # up front, as find_witness_any does, for sizes the chain check and the
     # induced-path search cannot take
@@ -371,6 +384,13 @@ def test_induced_path_budget(monkeypatch):
     monkeypatch.setattr(families, "PATH_NODE_BUDGET", 10)
     assert families._find_induced_path(host, 11) is None
     assert reference_induced_path(host, 11, 10) == (None, False)
+
+
+def test_induced_path_deeper_than_the_recursion_limit():
+    # the search keeps its own stack, so a path longer than Python's
+    # recursion limit is placed like a short one
+    n = sys.getrecursionlimit() + 100
+    assert families._find_induced_path(Graph.path(n), n - 1) == tuple(range(n))
 
 
 def test_isomorphism_inputs_do_not_evict_compiled_patterns():
