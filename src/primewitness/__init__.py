@@ -33,7 +33,8 @@ from .graphs import (
     induced_subgraph,
     parse_graph6,
 )
-from .homogeneous import brute_force_homogeneous, find_homogeneous_set, is_prime
+from .homogeneous import find_homogeneous_set, is_prime
+from .oracles import brute_force_homogeneous
 from .witnesses import ChainWitness, InsufficientSize, NotPrimeError, Witness
 
 __all__ = [

@@ -142,7 +142,6 @@ def trim_chain_to_prime(g: Graph, seq: Sequence[int]) -> tuple[int, ...]:
     if not ok:
         raise ValueError(f"not a chain (rule fails at index {bad})")
     for cand in (tuple(seq[1:]), (seq[0], *seq[2:])):
-        ok, _ = validate_chain(g, cand)
-        if ok and chain_induces_prime(g, cand):
+        if chain_induces_prime(g, cand):
             return cand
     raise AssertionError("no prime trim exists; this contradicts the trim guarantee")

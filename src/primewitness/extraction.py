@@ -39,10 +39,8 @@ WORK_CAP = 1 << 27       # rough word-op budget for one exact multinomial
 class Huge:
     """Stand-in for a bound too large (or too costly) to materialize.
 
-    ``kind`` names the construction and ``key`` its integer arguments; Huge
-    values of the same kind compare argument-wise.  ``min_bits`` is a proven
-    lower bound on the value's bit length, used to order Huge values against
-    exact integers.
+    ``kind`` names the construction and ``key`` its integer arguments.
+    ``min_bits`` is a proven lower bound on the value's bit length.
     """
 
     kind: str
@@ -52,27 +50,6 @@ class Huge:
     def __str__(self) -> str:
         args = ",".join(str(k) for k in self.key)
         return f"huge[{self.kind}({args})]>=2^{self.min_bits}"
-
-
-def bound_le(a, b) -> bool:
-    """Partial order over the int | Huge bounds produced by this module."""
-    if isinstance(a, int) and isinstance(b, int):
-        return a <= b
-    if isinstance(a, int):
-        if a.bit_length() <= b.min_bits:
-            return True
-        raise ValueError(f"cannot order {a.bit_length()}-bit value against {b}")
-    if isinstance(b, int):
-        if b.bit_length() <= a.min_bits:
-            return False
-        raise ValueError(f"cannot order {a} against {b.bit_length()}-bit value")
-    if a.kind != b.kind or len(a.key) != len(b.key):
-        raise ValueError(f"incomparable bounds {a} and {b}")
-    if all(x <= y for x, y in zip(a.key, b.key)):
-        return True
-    if all(x >= y for x, y in zip(a.key, b.key)):
-        return False
-    raise ValueError(f"incomparable bounds {a} and {b}")
 
 
 def _multinomial_estimates(total: int, parts: Sequence[int]) -> tuple[float, float, int]:
@@ -225,11 +202,6 @@ class EdgeColoring:
                 r[j] |= 1 << i
         return cls(m, palette, rows)
 
-    def color_id(self, i: int, j: int) -> int:
-        if i == j or not (0 <= i < self.m and 0 <= j < self.m):
-            raise ValueError("pairs of distinct vertices only")
-        return next(c for c, rows in enumerate(self._rows) if (rows[i] >> j) & 1)
-
 
 def ramsey_monochromatic(
     coloring: EdgeColoring, targets: Sequence[int]
@@ -263,51 +235,19 @@ def ramsey_monochromatic(
 # Regular triples.
 # ---------------------------------------------------------------------------
 
-CASE_MATCHED = "adjacent-then-anticomplete"
-CASE_UNMATCHED = "nonadjacent-then-complete"
-
-
 @dataclass(frozen=True)
 class RegularTriple:
-    """(A, X, Y) with per-index case tags.
-
-    A union X is independent, and each y_i is either adjacent to x_i and
-    anticomplete to the later x's and A, or non-adjacent to x_i and complete
-    to them (earlier x's unconstrained).
-    """
+    """A regular triple (A, X, Y): A union X is independent, and each y_i is
+    either adjacent to x_i and anticomplete to the later x's and A, or
+    non-adjacent to x_i and complete to them (earlier x's unconstrained)."""
 
     a_set: frozenset[int]
     xs: tuple[int, ...]
     ys: tuple[int, ...]
-    cases: tuple[str, ...]
 
     @classmethod
     def initial(cls, independent: Iterable[int]) -> "RegularTriple":
-        return cls(frozenset(independent), (), (), ())
-
-
-def check_regular_triple(g: Graph, t: RegularTriple) -> bool:
-    amask = mask_of(t.a_set)
-    if len(t.xs) != len(t.ys) or len(t.xs) != len(t.cases):
-        return False
-    all_parts = list(t.a_set) + list(t.xs) + list(t.ys)
-    if len(set(all_parts)) != len(all_parts):
-        return False
-    indep = mask_of(t.a_set) | mask_of(t.xs)
-    for v in bits(indep):
-        if g.rows[v] & indep:
-            return False
-    for i, (x, y, case) in enumerate(zip(t.xs, t.ys, t.cases)):
-        later = mask_of(t.xs[i + 1:]) | amask
-        if case == CASE_MATCHED:
-            if not g.adjacent(x, y) or g.rows[y] & later:
-                return False
-        elif case == CASE_UNMATCHED:
-            if g.adjacent(x, y) or (g.rows[y] & later) != later:
-                return False
-        else:
-            return False
-    return True
+        return cls(frozenset(independent), (), ())
 
 
 def grow_regular_triple(g: Graph, t: RegularTriple) -> RegularTriple:
@@ -335,15 +275,11 @@ def grow_regular_triple(g: Graph, t: RegularTriple) -> RegularTriple:
     if 2 * ay.bit_count() >= asize:
         new_a = ay
         pool = amask & ~rows[y]
-        case = CASE_UNMATCHED
     else:
         new_a = amask & ~rows[y]
         pool = ay
-        case = CASE_MATCHED
     x = (pool & -pool).bit_length() - 1
-    return RegularTriple(
-        frozenset(bits(new_a)), t.xs + (x,), t.ys + (y,), t.cases + (case,)
-    )
+    return RegularTriple(frozenset(bits(new_a)), t.xs + (x,), t.ys + (y,))
 
 
 # ---------------------------------------------------------------------------
@@ -506,28 +442,13 @@ def extract_from_matching(
     if n < 1 or nprime < 1 or t < 2:
         raise ValueError("need n, n' >= 1 and t >= 2")
     edges = [tuple(e) for e in matching]
-    covered: set[int] = set()
-    for x, y in edges:
-        if x == y or not (0 <= x < g.n and 0 <= y < g.n):
-            raise ValueError(f"bad edge ({x},{y})")
-        if x in covered or y in covered:
-            raise ValueError("matching edges overlap")
-        covered.update((x, y))
-    if v in covered:
+    emb = tuple(x for x, _ in edges) + tuple(y for _, y in edges)
+    probe = Witness(FamilyId(Family.MATCHING, len(edges)), emb)
+    # matching:0 has no generator; an empty matching ends in InsufficientSize
+    if edges and not check_witness(g, probe):
+        raise ValueError("not an induced matching of the host")
+    if v in emb:
         raise ValueError("v must not be covered by the matching")
-    for x, y in edges:
-        if not g.adjacent(x, y):
-            raise ValueError(f"({x},{y}) is not an edge")
-    for ex, ey in edges:
-        for fx, fy in edges:
-            if (ex, ey) < (fx, fy):
-                if (
-                    g.adjacent(ex, fx)
-                    or g.adjacent(ex, fy)
-                    or g.adjacent(ey, fx)
-                    or g.adjacent(ey, fy)
-                ):
-                    raise ValueError("matching is not induced")
 
     if edge_chains is None:
         edge_chains = []

@@ -184,17 +184,15 @@ def _pattern(fid: FamilyId) -> Graph:
 def _search_order(pat: Graph) -> list[int]:
     # descending degree, tie-broken toward vertices anchored to placed ones
     placed: list[int] = []
+    placed_mask = 0
     remaining = set(range(pat.n))
     while remaining:
         best = min(
             remaining,
-            key=lambda v: (
-                -pat.degree(v),
-                -sum(1 for w in placed if pat.adjacent(v, w)),
-                v,
-            ),
+            key=lambda v: (-pat.degree(v), -(pat.rows[v] & placed_mask).bit_count(), v),
         )
         placed.append(best)
+        placed_mask |= 1 << best
         remaining.remove(best)
     return placed
 
@@ -585,9 +583,7 @@ def find_prime_chain(host: Graph, n: int) -> tuple[int, ...] | None:
         return None
     path = _find_induced_path(host, n)
     if path is not None:
-        ok, _ = chains.validate_chain(host, path)
-        if ok and chains.chain_induces_prime(host, path):
-            return path
+        return path
     pairs = itertools.combinations(range(host.n), 2)
     if host.n > ALL_PAIRS_MAX_N:
         pairs = itertools.islice(pairs, PAIR_CAP)

@@ -1,4 +1,4 @@
-"""Homogeneous-set detection and primality, with an exhaustive oracle.
+"""Homogeneous-set detection and primality.
 
 A set X with 2 <= |X| < n is homogeneous when every vertex outside X is
 complete or anticomplete to X; a graph is prime when no such set exists.
@@ -21,47 +21,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from .graphs import Graph, bits, mask_of
-
-BRUTE_FORCE_LIMIT = 20
-
-
-def is_homogeneous_set(g: Graph, members) -> bool:
-    """Check the homogeneous-set invariant for an explicit vertex set."""
-    mask = mask_of(members)
-    size = mask.bit_count()
-    if size < 2 or size >= g.n:
-        return False
-    rest = g.vertex_mask() & ~mask
-    rows = g.rows
-    for w in bits(rest):
-        x = rows[w] & mask
-        if x and x != mask:
-            return False
-    return True
-
-
-def brute_force_homogeneous(g: Graph) -> list[frozenset[int]]:
-    """All homogeneous sets by scanning every vertex subset.  n <= 20."""
-    n = g.n
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} vertices, got {n}")
-    rows = g.rows
-    full = (1 << n) - 1
-    out = []
-    for mask in range(3, full):
-        size = mask.bit_count()
-        if size < 2 or size >= n:
-            continue
-        ok = True
-        for w in bits(full & ~mask):
-            x = rows[w] & mask
-            if x and x != mask:
-                ok = False
-                break
-        if ok:
-            out.append(frozenset(bits(mask)))
-    return out
+from .graphs import Graph, bits
 
 
 def _reach(g: Graph, imask: int, parent: dict[int, int | None] | None = None) -> int:

@@ -1,7 +1,7 @@
 """Independent oracles shared by ``primewitness verify`` and the test suite:
-exhaustive and seeded random graph sampling, a plain induced-copy search
-that uses none of the fast search's filters, and the sweeps that count where
-primality and chain search disagree with brute force."""
+exhaustive and seeded random graph sampling, the homogeneous-set test and the
+brute-force subset scan built on it, a plain induced-copy search with no
+filters, and the sweeps that count disagreements with brute force."""
 
 from __future__ import annotations
 
@@ -9,7 +9,9 @@ import random
 from typing import Iterable
 
 from . import chains, homogeneous
-from .graphs import Graph
+from .graphs import Graph, bits, mask_of
+
+BRUTE_FORCE_LIMIT = 20
 
 
 def all_graphs(n: int):
@@ -33,6 +35,30 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return Graph(n, rows)
+
+
+def _homogeneous(g: Graph, mask: int) -> bool:
+    """Whether the vertex set ``mask`` is a homogeneous set of ``g``."""
+    if not 2 <= mask.bit_count() < g.n:
+        return False
+    rows = g.rows
+    for w in bits(g.vertex_mask() & ~mask):
+        x = rows[w] & mask
+        if x and x != mask:
+            return False
+    return True
+
+
+def is_homogeneous_set(g: Graph, members) -> bool:
+    """Check the homogeneous-set invariant for an explicit vertex set."""
+    return _homogeneous(g, mask_of(members))
+
+
+def brute_force_homogeneous(g: Graph) -> list[frozenset[int]]:
+    """All homogeneous sets by scanning every vertex subset.  n <= 20."""
+    if g.n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} vertices, got {g.n}")
+    return [frozenset(bits(m)) for m in range(3, g.vertex_mask()) if _homogeneous(g, m)]
 
 
 def naive_induced_search(host: Graph, pat: Graph) -> bool:
@@ -71,7 +97,7 @@ def primality_sweep(graphs: Iterable[Graph]) -> tuple[int, int, int]:
     for g in graphs:
         checked += 1
         fast = homogeneous.find_homogeneous_set(g) is None
-        brute = not homogeneous.brute_force_homogeneous(g)
+        brute = not brute_force_homogeneous(g)
         if fast != brute:
             bad += 1
         elif fast:
@@ -85,7 +111,7 @@ def chain_sweep(graphs: Iterable[Graph]) -> tuple[int, int]:
     homogeneous set holds u and v but not w."""
     checked = bad = 0
     for g in graphs:
-        homsets = homogeneous.brute_force_homogeneous(g)
+        homsets = brute_force_homogeneous(g)
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 for w in range(g.n):

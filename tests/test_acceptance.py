@@ -31,7 +31,7 @@ from primewitness.oracles import chain_sweep, primality_sweep
 from primewitness.witnesses import InsufficientSize, Witness
 
 from test_extraction import MATCHING_CASE_FAMILIES, matching_config
-from util import all_graphs, random_graph, random_prime_graph, sample_chain
+from util import all_graphs, bound_le, color_id, random_graph, random_prime_graph, sample_chain
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -199,11 +199,11 @@ def test_criterion_9_bound_arithmetic():
     for n in range(3, 11):
         b = ex.bounds(n)
         if prev is not None:
-            mono_ok = mono_ok and ex.bound_le(prev.g, b.g)
-            mono_ok = mono_ok and ex.bound_le(prev.matching_size, b.matching_size)
-            mono_ok = mono_ok and ex.bound_le(prev.m, b.m)
-            mono_ok = mono_ok and ex.bound_le(prev.independent_size, b.independent_size)
-            mono_ok = mono_ok and ex.bound_le(prev.vertex_threshold, b.vertex_threshold)
+            mono_ok = mono_ok and bound_le(prev.g, b.g)
+            mono_ok = mono_ok and bound_le(prev.matching_size, b.matching_size)
+            mono_ok = mono_ok and bound_le(prev.m, b.m)
+            mono_ok = mono_ok and bound_le(prev.independent_size, b.independent_size)
+            mono_ok = mono_ok and bound_le(prev.vertex_threshold, b.vertex_threshold)
         prev = b
     report("9 bound-arithmetic", base_ok and g_ok and mono_ok, "")
 
@@ -229,7 +229,7 @@ def _exhaustive_mono(col: ex.EdgeColoring, targets) -> bool:
         if t > col.m:
             continue
         for sub in itertools.combinations(range(col.m), t):
-            if all(col.color_id(i, j) == c for i, j in itertools.combinations(sub, 2)):
+            if all(color_id(col, i, j) == c for i, j in itertools.combinations(sub, 2)):
                 return True
     return False
 
@@ -259,7 +259,7 @@ def test_criterion_11_exact_ramsey_search():
         elif found is not None:
             c, s = found
             if len(s) != targets[c] or any(
-                col.color_id(i, j) != c for i, j in itertools.combinations(sorted(s), 2)
+                color_id(col, i, j) != c for i, j in itertools.combinations(sorted(s), 2)
             ):
                 bad += 1
     # the pentagon coloring has no monochromatic triangle

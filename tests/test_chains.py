@@ -10,7 +10,8 @@ from primewitness.chains import (
     validate_chain,
 )
 from primewitness.graphs import Graph, induced_subgraph
-from primewitness.homogeneous import brute_force_homogeneous, is_prime
+from primewitness.homogeneous import is_prime
+from primewitness.oracles import brute_force_homogeneous
 
 from util import all_graphs, random_graph, random_prime_graph, reference_chain, sample_chain
 

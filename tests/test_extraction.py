@@ -8,9 +8,10 @@ from primewitness.chains import find_chain
 from primewitness.families import Family, FamilyId, check_witness, generate
 from primewitness.graphs import Graph, complement
 from primewitness.homogeneous import is_prime
+from primewitness.oracles import is_homogeneous_set
 from primewitness.witnesses import ChainWitness, InsufficientSize, NotPrimeError, Witness
 
-from util import random_prime_graph
+from util import check_regular_triple, color_id, random_prime_graph
 
 
 # ramsey_monochromatic -------------------------------------------------------
@@ -34,7 +35,7 @@ def test_pentagon_has_no_mono_triangle():
 def _first_mono(col: ex.EdgeColoring, targets):
     for c, t in enumerate(targets):
         for sub in itertools.combinations(range(col.m), t):
-            if all(col.color_id(i, j) == c for i, j in itertools.combinations(sub, 2)):
+            if all(color_id(col, i, j) == c for i, j in itertools.combinations(sub, 2)):
                 return c, frozenset(sub)
     return None
 
@@ -55,7 +56,7 @@ def test_ramsey_matches_exhaustive_enumeration():
         if found is not None:
             c, s = found
             assert len(s) == targets[c]
-            assert all(col.color_id(i, j) == c for i, j in itertools.combinations(sorted(s), 2))
+            assert all(color_id(col, i, j) == c for i, j in itertools.combinations(sorted(s), 2))
 
 
 def test_ramsey_returns_lexicographically_first_clique():
@@ -78,10 +79,10 @@ def test_coloring_validates_palette():
     with pytest.raises(ValueError):
         ex.EdgeColoring.from_function(3, (0, 1), lambda i, j: 7)
     col = ex.EdgeColoring.from_function(3, (0, 1), lambda i, j: (i + j) % 2)
-    assert [col.color_id(i, j) for i, j in ((0, 1), (2, 0), (1, 2))] == [1, 0, 1]
+    assert [color_id(col, i, j) for i, j in ((0, 1), (2, 0), (1, 2))] == [1, 0, 1]
     for i, j in ((1, 1), (0, 3), (-1, 0)):
         with pytest.raises(ValueError):
-            col.color_id(i, j)
+            color_id(col, i, j)
 
 
 def test_ramsey_three_three_is_six():
@@ -100,7 +101,13 @@ def test_grow_on_path_example():
     g = Graph.path(4)
     t = ex.grow_regular_triple(g, ex.RegularTriple.initial([0, 3]))
     assert t.a_set == frozenset({0}) and t.xs == (3,) and t.ys == (1,)
-    assert ex.check_regular_triple(g, t)
+    assert check_regular_triple(g, t)
+
+
+def test_check_regular_triple_rejects_a_broken_triple():
+    # y = 1 is adjacent to x = 2, so it must be anticomplete to A = {0}
+    g = Graph.path(4)
+    assert not check_regular_triple(g, ex.RegularTriple(frozenset({0}), (2,), (1,)))
 
 
 def test_growth_preserves_invariants_on_random_primes():
@@ -115,7 +122,7 @@ def test_growth_preserves_invariants_on_random_primes():
             before = len(t.a_set)
             t = ex.grow_regular_triple(g, t)
             assert len(t.a_set) >= (before + 1) // 2
-            assert ex.check_regular_triple(g, t)
+            assert check_regular_triple(g, t)
 
 
 def test_growth_count_from_power_of_two():
@@ -296,6 +303,13 @@ def test_matching_validates_inputs():
     g2 = Graph.from_edges(5, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
         ex.extract_from_matching(g2, [(0, 1)], 1, 2, 2, 2)  # v covered
+    for bad in ([(0, 1), (1, 2)], [(0, 2)], [(0, 9)], [(0, 0)]):
+        # overlapping edges, a non-edge, an out-of-range vertex, a loop
+        with pytest.raises(ValueError):
+            ex.extract_from_matching(g, bad, 4, 2, 2, 2)
+    with pytest.raises(InsufficientSize) as e:
+        ex.extract_from_matching(g2, [], 4, 2, 2, 2)
+    assert e.value.stage == "matching:base"
 
 
 def test_matching_insufficient():
@@ -415,8 +429,6 @@ def test_driver_complement_bookkeeping():
 def test_driver_rejects_non_prime():
     with pytest.raises(NotPrimeError) as e:
         ex.unavoidable_witness(Graph.complete(5), 3)
-    from primewitness.homogeneous import is_homogeneous_set
-
     assert is_homogeneous_set(Graph.complete(5), e.value.homogeneous_set)
 
 

@@ -4,13 +4,8 @@ import pytest
 
 from primewitness.families import Family, FamilyId, generate
 from primewitness.graphs import Graph, complement, mask_of
-from primewitness.homogeneous import (
-    brute_force_homogeneous,
-    closure,
-    find_homogeneous_set,
-    is_homogeneous_set,
-    is_prime,
-)
+from primewitness.homogeneous import closure, find_homogeneous_set, is_prime
+from primewitness.oracles import brute_force_homogeneous, is_homogeneous_set
 
 from util import all_graphs, lex_first_closure, random_graph, reference_closure, substitute
 

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite: random chain growth, the substitution
-construction, automorphisms by brute force, and the references that
+construction, automorphisms by brute force, the checks on extraction's
+intermediate results (``check_regular_triple``, ``color_id`` for an
+``EdgeColoring`` and ``bound_le`` over int | ``Huge`` bounds), and the
+references that
 ``closure`` (round-based absorption), ``find_homogeneous_set`` (all-pairs
 closure scan), ``find_chain`` (per-vertex auxiliary-digraph search),
 ``find_induced_embedding`` (plain backtracking, with no all-different
@@ -14,7 +17,7 @@ import itertools
 import random
 from collections import deque
 
-from primewitness.graphs import Graph, bits
+from primewitness.graphs import Graph, bits, mask_of
 from primewitness.oracles import all_graphs, random_graph  # noqa: F401 (re-exported)
 
 
@@ -377,3 +380,54 @@ def reference_witness_any(host: Graph, n: int):
                     return Witness(fid, emb, provenance="direct-search")
     seq = find_prime_chain(host, n)
     return None if seq is None else ChainWitness(seq, provenance="direct-search")
+
+
+def check_regular_triple(g: Graph, t) -> bool:
+    """Whether ``t`` is a regular triple (A, X, Y) of ``g``: A, X and Y are
+    disjoint, A union X is independent, and each y_i is adjacent to x_i and
+    anticomplete to the later x's and A, or non-adjacent to x_i and complete
+    to them."""
+    if len(t.xs) != len(t.ys):
+        return False
+    parts = [*t.a_set, *t.xs, *t.ys]
+    if len(set(parts)) != len(parts):
+        return False
+    amask = mask_of(t.a_set)
+    indep = amask | mask_of(t.xs)
+    if any(g.rows[v] & indep for v in bits(indep)):
+        return False
+    for i, (x, y) in enumerate(zip(t.xs, t.ys)):
+        later = mask_of(t.xs[i + 1:]) | amask
+        if (g.rows[y] & later) != (0 if g.adjacent(x, y) else later):
+            return False
+    return True
+
+
+def color_id(coloring, i: int, j: int) -> int:
+    """The color id of the pair (i, j) in an ``extraction.EdgeColoring``."""
+    if i == j or not (0 <= i < coloring.m and 0 <= j < coloring.m):
+        raise ValueError("pairs of distinct vertices only")
+    return next(c for c, rows in enumerate(coloring._rows) if (rows[i] >> j) & 1)
+
+
+def bound_le(a, b) -> bool:
+    """Partial order over the int | ``extraction.Huge`` bounds: Huge values
+    of the same kind compare argument-wise, and ``min_bits`` orders a Huge
+    value against an exact integer."""
+    if isinstance(a, int) and isinstance(b, int):
+        return a <= b
+    if isinstance(a, int):
+        if a.bit_length() <= b.min_bits:
+            return True
+        raise ValueError(f"cannot order {a.bit_length()}-bit value against {b}")
+    if isinstance(b, int):
+        if b.bit_length() <= a.min_bits:
+            return False
+        raise ValueError(f"cannot order {a} against {b.bit_length()}-bit value")
+    if a.kind != b.kind or len(a.key) != len(b.key):
+        raise ValueError(f"incomparable bounds {a} and {b}")
+    if all(x <= y for x, y in zip(a.key, b.key)):
+        return True
+    if all(x >= y for x, y in zip(a.key, b.key)):
+        return False
+    raise ValueError(f"incomparable bounds {a} and {b}")
