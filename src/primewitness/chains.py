@@ -112,18 +112,17 @@ def chain_induces_prime(g: Graph, seq: Sequence[int]) -> bool:
     ok, bad = validate_chain(g, seq)
     if not ok:
         raise ValueError(f"not a chain (rule fails at index {bad})")
-    penult = seq[-2]
+    return _induces_prime(g, seq)
+
+
+def _induces_prime(g: Graph, seq: Sequence[int]) -> bool:
+    """``chain_induces_prime`` for a sequence the caller knows is a chain of
+    length >= 3, without validating it."""
+    rows = g.rows
+    chain = mask_of(seq) & ~(1 << seq[-2])
     for u in seq[:2]:
-        has_nb = False
-        has_non = False
-        for w in seq:
-            if w == u or w == penult:
-                continue
-            if g.adjacent(u, w):
-                has_nb = True
-            else:
-                has_non = True
-        if not (has_nb and has_non):
+        others = chain & ~(1 << u)
+        if not (rows[u] & others and others & ~rows[u]):
             return False
     return True
 
@@ -142,6 +141,6 @@ def trim_chain_to_prime(g: Graph, seq: Sequence[int]) -> tuple[int, ...]:
     if not ok:
         raise ValueError(f"not a chain (rule fails at index {bad})")
     for cand in (tuple(seq[1:]), (seq[0], *seq[2:])):
-        if chain_induces_prime(g, cand):
+        if _induces_prime(g, cand):
             return cand
     raise AssertionError("no prime trim exists; this contradicts the trim guarantee")

@@ -444,7 +444,7 @@ def check_witness(g: Graph, w: Witness | ChainWitness) -> bool:
         if w.length < 3:
             return False
         ok, _ = chains.validate_chain(g, w.chain)
-        return ok and chains.chain_induces_prime(g, w.chain)
+        return ok and chains._induces_prime(g, w.chain)
     pat = _pattern(w.family)
     emb = w.embedding
     if len(emb) != pat.n or len(set(emb)) != len(emb):
@@ -559,9 +559,10 @@ def find_witness_any(host: Graph, n: int) -> Witness | ChainWitness | None:
 
 
 # find_prime_chain tries every seed pair on hosts of up to ALL_PAIRS_MAX_N
-# vertices and the first PAIR_CAP pairs on larger ones; the induced-path
-# search gives up after PATH_NODE_BUDGET search nodes.  Outputs depend on
-# all three.  The budget counts ``_embed``'s expansions.
+# vertices and the first PAIR_CAP pairs on larger ones, building the chain
+# search's parents only for a pair whose search reaches n - 1 levels; the
+# induced-path search gives up after PATH_NODE_BUDGET search nodes.  Outputs
+# depend on all three.  The budget counts ``_embed``'s expansions.
 ALL_PAIRS_MAX_N = 64
 PAIR_CAP = 512
 PATH_NODE_BUDGET = 200_000
@@ -573,9 +574,12 @@ def find_prime_chain(host: Graph, n: int) -> tuple[int, ...] | None:
     First looks for an induced path with n edges (the simplest prime chain),
     then runs the constructive chain search from vertex pairs in
     lexicographic order, walking targets farthest-first and trimming longer
-    chains down to length n (trims preserve prime induction).  Greedy, not
-    exhaustive: a None is not a proof of absence.  Hosts of more than
-    ``ALL_PAIRS_MAX_N`` vertices try only the first ``PAIR_CAP`` seed pairs.
+    chains down to length n (trims preserve prime induction).  A pair's
+    search levels are counted on masks first, and its parents are built
+    only when it reaches n - 1 levels, the depth a chain of length n needs.
+    Greedy, not exhaustive: a None is not a proof of absence.  Hosts of
+    more than ``ALL_PAIRS_MAX_N`` vertices try only the first ``PAIR_CAP``
+    seed pairs.
     """
     if n < 3:
         raise ValueError("outcome size must be at least 3")
@@ -605,22 +609,40 @@ def _find_induced_path(host: Graph, n: int) -> tuple[int, ...] | None:
 
 
 def _prime_chain_from_pair(host: Graph, u: int, v: int, n: int) -> tuple[int, ...] | None:
+    """First prime chain of length n from the seed pair {u, v}, or None.
+
+    The chain to a vertex at depth d of ``_reach``'s breadth-first search
+    has length d + 1, so the targets are the vertices of depth at least
+    n - 1, walked deepest level first and each level in ascending index;
+    chains longer than n are trimmed.  The levels come from a pass over
+    masks alone (level 1 is the set mixed on the pair, each later one what
+    the previous level reaches), so a pair whose search has fewer than
+    n - 1 levels returns None before any parent is built."""
+    rows = host.rows
     imask = (1 << u) | (1 << v)
+    outside = host.vertex_mask() & ~imask
+    complete = outside & rows[u] & rows[v]
+    level = (rows[u] | rows[v]) & outside & ~complete
+    unseen = outside & ~level
+    levels = [level]
+    while unseen:
+        reached = 0
+        for x in bits(level):
+            reached |= rows[x] ^ complete
+        level = unseen & reached
+        if not level:
+            break
+        levels.append(level)
+        unseen ^= level
+    if len(levels) < n - 1:
+        return None
     parent: dict[int, int | None] = {}
     _reach(host, imask, parent)
-    # parent is in BFS order, so each vertex's parent comes before it
-    depth: dict[int, int] = {}
-    for t, p in parent.items():
-        depth[t] = 1 if p is None else depth[p] + 1
-    # chain length to t is its auxiliary depth + 1; walk farthest-first
-    targets = sorted(
-        (t for t, d in depth.items() if d + 1 >= n),
-        key=lambda t: (-depth[t], t),
-    )
-    for t in targets:
-        seq = chains._chain_from_parents(host, imask, parent, t)
-        while len(seq) - 1 > n:
-            seq = chains.trim_chain_to_prime(host, seq)
-        if chains.chain_induces_prime(host, seq):
-            return tuple(seq)
+    for level in reversed(levels[n - 2:]):
+        for t in bits(level):
+            seq = chains._chain_from_parents(host, imask, parent, t)
+            while len(seq) - 1 > n:
+                seq = chains.trim_chain_to_prime(host, seq)
+            if chains._induces_prime(host, seq):
+                return seq
     return None

@@ -30,6 +30,7 @@ from util import (
     random_graph,
     reference_induced_embedding,
     reference_induced_path,
+    reference_prime_chain_from_pair,
     reference_witness_any,
     shallow_window_cuts,
 )
@@ -349,6 +350,58 @@ def test_prime_chain_search_from_seed_pairs():
     assert chain_induces_prime(host, seq)
 
 
+def test_pair_chain_search_matches_reference():
+    # every pair and n = 3..9, on hosts where chains from seed pairs occur
+    rng = random.Random(18)
+    hosts = []
+    for k in range(4, 13):
+        hosts += [Graph.path(k), complement(Graph.path(k)), Graph.cycle(k)]
+    for _ in range(200):
+        p = rng.choice([0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9])
+        hosts.append(random_graph(rng, rng.randrange(5, 16), p))
+    found = 0
+    for g in hosts:
+        for u, v in itertools.combinations(range(g.n), 2):
+            for n in range(3, 10):
+                seq = families._prime_chain_from_pair(g, u, v, n)
+                assert seq == reference_prime_chain_from_pair(g, u, v, n), (g.rows, u, v, n)
+                found += seq is not None
+    assert found > 10_000
+
+
+def test_pair_chain_search_at_the_level_boundary():
+    # from the pair (0, 1) of a path on n + 1 vertices the search has
+    # exactly n - 1 levels, {2}, ..., {n}; one vertex fewer leaves n - 2
+    for n in range(3, 9):
+        assert families._prime_chain_from_pair(Graph.path(n + 1), 0, 1, n) == (1, 0, *range(2, n + 1))
+        assert families._prime_chain_from_pair(Graph.path(n), 0, 1, n) is None
+
+
+def test_shallow_pairs_build_no_parents(monkeypatch):
+    # a witness-exhaust-sized host with no induced P8 and no pair whose
+    # search reaches 6 levels: the pair phase runs but never calls _reach
+    calls = {"reach": 0, "pair": 0}
+    reach, pair = families._reach, families._prime_chain_from_pair
+
+    def counting_reach(*args):
+        calls["reach"] += 1
+        return reach(*args)
+
+    def counting_pair(*args):
+        calls["pair"] += 1
+        return pair(*args)
+
+    monkeypatch.setattr(families, "_reach", counting_reach)
+    monkeypatch.setattr(families, "_prime_chain_from_pair", counting_pair)
+    host = random_graph(random.Random(14), 22, 0.5)
+    assert families._find_induced_path(host, 7) is None
+    assert find_prime_chain(host, 7) is None
+    assert calls == {"reach": 0, "pair": 231}
+    # a deep pair does build them: the seed-pair chain of the complement of P9
+    assert find_prime_chain(complement(Graph.path(9)), 5) is not None
+    assert calls["reach"] > 0
+
+
 def test_prime_chain_search_rejects_outcome_size_below_three():
     # up front, as find_witness_any does, for sizes the chain check and the
     # induced-path search cannot take
@@ -413,6 +466,19 @@ def test_witness_chain_on_long_path():
     w = find_witness_any(host, 4)
     assert isinstance(w, ChainWitness) and w.length == 4
     assert check_witness(host, w)
+
+
+def test_chain_witness_is_validated_once(monkeypatch):
+    calls = []
+    validate = families.chains.validate_chain
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(families.chains, "validate_chain", counting)
+    assert check_witness(Graph.path(6), ChainWitness(tuple(range(6))))
+    assert len(calls) == 1
 
 
 def test_every_embedding_revalidates():

@@ -7,7 +7,8 @@ references that
 closure scan), ``find_chain`` (per-vertex auxiliary-digraph search),
 ``find_induced_embedding`` (plain backtracking, with no all-different
 cut), the induced-path search (the hand-written path search with its node
-budget) and ``find_witness_any`` (every theorem pattern searched in turn)
+budget), ``find_witness_any`` (every theorem pattern searched in turn) and
+the prime-chain search from one seed pair (parents built for every pair)
 must agree with.  Graph sampling and exhaustive enumeration are the
 library's oracles, re-exported here."""
 
@@ -380,6 +381,31 @@ def reference_witness_any(host: Graph, n: int):
                     return Witness(fid, emb, provenance="direct-search")
     seq = find_prime_chain(host, n)
     return None if seq is None else ChainWitness(seq, provenance="direct-search")
+
+
+def reference_prime_chain_from_pair(host: Graph, u: int, v: int, n: int) -> tuple[int, ...] | None:
+    """Reference for ``families._prime_chain_from_pair``: build the search's
+    parents for every pair, take each reached vertex's depth from them, and
+    walk the targets of depth at least n - 1 sorted by (-depth, index),
+    trimming longer chains to length n.  Both must return the same chain."""
+    from primewitness import chains
+    from primewitness.homogeneous import _reach
+
+    imask = (1 << u) | (1 << v)
+    parent: dict[int, int | None] = {}
+    _reach(host, imask, parent)
+    # parent is in BFS order, so each vertex's parent comes before it
+    depth: dict[int, int] = {}
+    for t, p in parent.items():
+        depth[t] = 1 if p is None else depth[p] + 1
+    targets = sorted((t for t, d in depth.items() if d + 1 >= n), key=lambda t: (-depth[t], t))
+    for t in targets:
+        seq = chains._chain_from_parents(host, imask, parent, t)
+        while len(seq) - 1 > n:
+            seq = chains.trim_chain_to_prime(host, seq)
+        if chains.chain_induces_prime(host, seq):
+            return tuple(seq)
+    return None
 
 
 def check_regular_triple(g: Graph, t) -> bool:
