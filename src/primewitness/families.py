@@ -469,14 +469,17 @@ def require_valid(g: Graph, w: Witness | ChainWitness, what: str) -> Witness | C
 
 # ---------------------------------------------------------------------------
 # Combined search over the theorem's outcome list, and its miss certificates.
-# The proof of the outcome list passes through two intermediate outcomes, an
-# induced matching and a half split; these and their complements are the
-# core patterns.  If a core P is an induced subgraph of a theorem pattern Q
+# The core patterns at size n are K_n, its complement E_n, and the proof's
+# two intermediate outcomes, an induced matching and a half split, with their
+# complements.  If a core P is an induced subgraph of a theorem pattern Q
 # (psi embeds P into Q) and Q has an induced copy phi in the host, then
 # phi o psi is an induced copy of P in the host.  So an exact miss of P
 # proves a miss of Q, and ``find_induced_copy`` returns None for Q without
-# searching it.  Each core is searched at most once per host, and both its
-# hits and its misses are kept.
+# searching it.  K_n and E_n come first: the proof starts from Ramsey, and
+# every theorem pattern at size n holds an n-clique or an n-stable set, so
+# a host whose clique and stable sets all have fewer than n vertices is
+# cleared of all twelve patterns by two clique searches.  Each core is
+# searched at most once per host, and both its hits and its misses are kept.
 # ---------------------------------------------------------------------------
 
 THEOREM_FAMILY_ORDER = (
@@ -492,22 +495,26 @@ CORE_FAMILIES = (Family.MATCHING, Family.HALF_SPLIT)
 
 
 @lru_cache(maxsize=512)
-def _cores_inside(fid: FamilyId) -> tuple[FamilyId, ...]:
-    """The core patterns (``CORE_FAMILIES`` and their complements, at size
-    ``fid.n``) that are induced subgraphs of theorem pattern ``fid``, found
-    by searching for each in the pattern itself; () for other patterns."""
+def _cores_inside(fid: FamilyId) -> tuple[Graph, ...]:
+    """The core patterns at size ``fid.n`` that are induced subgraphs of
+    theorem pattern ``fid``, in the order they are searched: K_n, E_n, then
+    ``CORE_FAMILIES`` and their complements.  Each is kept when a search for
+    it in the pattern itself finds it; () for other patterns."""
     if fid.family not in THEOREM_FAMILY_ORDER:
         return ()
     pat = _pattern(fid)
-    cores = (FamilyId(fam, fid.n, comp) for fam in CORE_FAMILIES for comp in (False, True))
-    return tuple(c for c in cores if find_induced_embedding(pat, _pattern(c)) is not None)
+    cores = [Graph.complete(fid.n), Graph.empty(fid.n)] + [
+        _pattern(FamilyId(fam, fid.n, comp)) for fam in CORE_FAMILIES for comp in (False, True)
+    ]
+    return tuple(c for c in cores if find_induced_embedding(pat, c) is not None)
 
 
 @lru_cache(maxsize=1)
-def _core_outcomes(rows: tuple[int, ...]) -> dict[FamilyId, bool]:
-    """Whether each core pattern searched so far in the host with these rows
-    has an induced copy there.  One entry, keyed on the rows: the searches
-    of one ``find_witness_any`` call share their host."""
+def _core_outcomes(rows: tuple[int, ...]) -> dict[Graph, bool]:
+    """Whether each core pattern (a graph from ``_cores_inside``) searched so
+    far in the host with these rows has an induced copy there.  One entry,
+    keyed on the rows: the searches of one ``find_witness_any`` call share
+    their host."""
     return {}
 
 
@@ -523,7 +530,7 @@ def _core_misses(host: Graph, fid: FamilyId) -> bool:
         return True
     for core in cores:
         if core not in known:
-            known[core] = find_induced_embedding(host, _pattern(core)) is not None
+            known[core] = find_induced_embedding(host, core) is not None
             if not known[core]:
                 return True
     return False
@@ -537,7 +544,9 @@ def find_witness_any(host: Graph, n: int) -> Witness | ChainWitness | None:
     with a missing core pattern is not searched (see the section comment);
     that pattern has no copy, so ``find_induced_copy`` returns None for it
     either way, and the patterns are tried in the same order: the first hit
-    and its embedding are those of searching every pattern in turn.
+    and its embedding are those of searching every pattern in turn.  Every
+    pattern holds K_n or E_n, so on a host with no clique or stable set of
+    n vertices no pattern is searched at all.
     """
     if n < 3:
         raise ValueError("outcome size must be at least 3")

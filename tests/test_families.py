@@ -531,34 +531,49 @@ def _fids(families_: tuple[Family, ...], n: int) -> list[FamilyId]:
     return [FamilyId(fam, n, comp) for fam in families_ for comp in (False, True)]
 
 
+def _core_candidates(n: int) -> list[Graph]:
+    """K_n, E_n and the family cores at size n, in search order."""
+    return [Graph.complete(n), Graph.empty(n)] + [
+        families._pattern(fid) for fid in _fids(families.CORE_FAMILIES, n)
+    ]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_core_lattice_matches_brute_force(n):
     pat = families._pattern
     theorem = _fids(THEOREM_FAMILY_ORDER, n)
-    cores = _fids(families.CORE_FAMILIES, n)
+    cores = _core_candidates(n)
     for fid in theorem:
-        expected = tuple(c for c in cores if naive_induced_search(pat(fid), pat(c)))
+        expected = tuple(c for c in cores if naive_induced_search(pat(fid), c))
         assert families._cores_inside(fid) == expected, fid
     # so no theorem pattern is skipped for the miss of another
     for p, q in itertools.permutations(theorem, 2):
         assert not naive_induced_search(pat(q), pat(p)), (p, q)
 
 
-def _record_searches(monkeypatch, host: Graph, n: int) -> list[tuple[FamilyId, bool]]:
+@pytest.mark.parametrize("n", range(3, 9))
+def test_every_theorem_pattern_holds_a_clique_or_stable_set(n):
+    # the Ramsey step of the proof: one clique search and one stable-set
+    # search in a host can rule out every theorem pattern at once
+    for fid in _fids(THEOREM_FAMILY_ORDER, n):
+        cores = families._cores_inside(fid)
+        assert Graph.complete(n) in cores or Graph.empty(n) in cores, fid
+
+
+def _record_searches(monkeypatch, host: Graph, n: int) -> list[tuple[Graph, bool]]:
     """Route ``families.find_induced_embedding`` through a recorder of
-    (pattern, hit) for each search of a theorem or core pattern at size n
-    in ``host``, with no core outcomes of earlier hosts kept."""
-    by_rows = {
-        families._pattern(f).rows: f
-        for f in _fids(THEOREM_FAMILY_ORDER + families.CORE_FAMILIES, n)
-    }
-    calls: list[tuple[FamilyId, bool]] = []
+    (pattern, hit) for each search in ``host`` of a theorem pattern at size
+    n or of a core pattern (K_n, E_n and the family cores), with no core
+    outcomes of earlier hosts kept."""
+    watched = {families._pattern(f) for f in _fids(THEOREM_FAMILY_ORDER, n)}
+    watched.update(_core_candidates(n))
+    calls: list[tuple[Graph, bool]] = []
     search = families.find_induced_embedding
 
     def recording(h, pat):
         emb = search(h, pat)
-        if h.rows == host.rows and pat.rows in by_rows:
-            calls.append((by_rows[pat.rows], emb is not None))
+        if h.rows == host.rows and pat in watched:
+            calls.append((pat, emb is not None))
         return emb
 
     families._core_outcomes.cache_clear()
@@ -582,7 +597,7 @@ def test_witness_any_matches_reference_scan(monkeypatch):
         for fid in _fids(THEOREM_FAMILY_ORDER, n):
             cores = families._cores_inside(fid)
             core_missed += any(outcome.get(c) is False for c in cores)
-            core_hit_pattern_missed += bool(cores) and outcome.get(fid) is False
+            core_hit_pattern_missed += bool(cores) and outcome.get(families._pattern(fid)) is False
     # both sides of the certificate were exercised: patterns skipped for a
     # core's miss, and patterns searched (and missed) after their cores hit
     assert core_missed and core_hit_pattern_missed
@@ -596,12 +611,32 @@ def test_core_miss_skips_its_patterns(monkeypatch):
     calls = _record_searches(monkeypatch, host, 4)
     w = find_witness_any(host, 4)
     assert w == ref and check_witness(host, w)
-    searched = [fid for fid, _ in calls]
-    assert (FamilyId(Family.MATCHING, 4), False) in calls
-    assert FamilyId(Family.SUBDIVIDED_STAR, 4) not in searched
-    assert FamilyId(Family.SUBDIVIDED_STAR, 4, True) not in searched
+    searched = [pat for pat, _ in calls]
+    assert (families._pattern(FamilyId(Family.MATCHING, 4)), False) in calls
+    assert families._pattern(FamilyId(Family.SUBDIVIDED_STAR, 4)) not in searched
+    assert families._pattern(FamilyId(Family.SUBDIVIDED_STAR, 4, True)) not in searched
     assert len(searched) == len(set(searched))
     # a core's outcome is kept for the next search in the same host
     calls.clear()
     assert find_induced_copy(host, FamilyId(Family.SUBDIVIDED_STAR, 4)) is None
     assert calls == []
+
+
+def test_paley_17_is_cleared_by_two_clique_searches(monkeypatch):
+    # the Paley graph of order 17 is prime with no clique or stable set of
+    # four vertices, so K_4 and E_4 miss and every theorem pattern is skipped
+    residues = {x * x % 17 for x in range(1, 17)}
+    host = Graph.from_edges(
+        17, [(u, v) for u, v in itertools.combinations(range(17), 2) if (v - u) % 17 in residues]
+    )
+    assert is_prime(host)
+    assert naive_induced_search(host, Graph.complete(3))
+    assert naive_induced_search(host, Graph.empty(3))
+    ref = reference_witness_any(host, 4)
+    calls = _record_searches(monkeypatch, host, 4)
+    w = find_witness_any(host, 4)
+    assert w == ref and isinstance(w, ChainWitness)
+    assert sorted(calls, key=lambda c: c[0].edge_count()) == [
+        (Graph.empty(4), False),
+        (Graph.complete(4), False),
+    ]
