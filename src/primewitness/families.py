@@ -478,8 +478,13 @@ def require_valid(g: Graph, w: Witness | ChainWitness, what: str) -> Witness | C
 # searching it.  K_n and E_n come first: the proof starts from Ramsey, and
 # every theorem pattern at size n holds an n-clique or an n-stable set, so
 # a host whose clique and stable sets all have fewer than n vertices is
-# cleared of all twelve patterns by two clique searches.  Each core is
-# searched at most once per host, and both its hits and its misses are kept.
+# cleared of all twelve patterns by two clique searches.  Before K_n is
+# searched, the host is coloured greedily, largest degree first (before E_n,
+# its complement is); a proper colouring with fewer than n colours proves
+# that K_n misses, with no search.  Each core is searched at most once per
+# host, and both its hits and its misses are kept.  The prime-chain fallback
+# first searches an induced path, whose reversal it does not walk: the
+# path's last vertex is flagged as the first one's orbit-mate.
 # ---------------------------------------------------------------------------
 
 THEOREM_FAMILY_ORDER = (
@@ -511,8 +516,9 @@ def _cores_inside(fid: FamilyId) -> tuple[Graph, ...]:
 
 @lru_cache(maxsize=1)
 def _core_outcomes(rows: tuple[int, ...]) -> dict[Graph, bool]:
-    """Whether each core pattern (a graph from ``_cores_inside``) searched so
-    far in the host with these rows has an induced copy there.  One entry,
+    """Whether each core pattern (a graph from ``_cores_inside``) decided so
+    far in the host with these rows has an induced copy there, by a search
+    or, for a K_n or E_n miss, by a colouring (``_core_found``).  One entry,
     keyed on the rows: the searches of one ``find_witness_any`` call share
     their host."""
     return {}
@@ -520,8 +526,8 @@ def _core_outcomes(rows: tuple[int, ...]) -> dict[Graph, bool]:
 
 def _core_misses(host: Graph, fid: FamilyId) -> bool:
     """Whether some core pattern inside ``fid`` has no induced copy in
-    ``host``, searching each core whose outcome in this host is not yet
-    known and stopping at the first miss."""
+    ``host``, deciding each core whose outcome in this host is not yet
+    known (``_core_found``) and stopping at the first miss."""
     cores = _cores_inside(fid)
     if not cores:
         return False
@@ -530,10 +536,43 @@ def _core_misses(host: Graph, fid: FamilyId) -> bool:
         return True
     for core in cores:
         if core not in known:
-            known[core] = find_induced_embedding(host, core) is not None
+            known[core] = _core_found(host, core)
             if not known[core]:
                 return True
     return False
+
+
+def _core_found(host: Graph, core: Graph) -> bool:
+    """Whether ``core`` has an induced copy in ``host``.  Before K_n is
+    searched, the host is coloured greedily (before E_n, its complement):
+    a proper colouring with fewer than n colours leaves no n-clique."""
+    edges = core.edge_count()
+    if edges == 0 and _colours_fewer_than(complement(host).rows, core.n):
+        return False
+    if 2 * edges == core.n * (core.n - 1) and _colours_fewer_than(host.rows, core.n):
+        return False
+    return find_induced_embedding(host, core) is not None
+
+
+def _colours_fewer_than(rows: tuple[int, ...], t: int) -> bool:
+    """Whether the largest-first greedy colouring (Welsh and Powell, 1967)
+    of the graph with these rows uses fewer than t colours: vertices by
+    descending degree, ties by ascending index, each into the first colour
+    class that holds none of its neighbours.  Stops once t - 1 classes
+    fail to take a vertex."""
+    degree = [r.bit_count() for r in rows]
+    classes: list[int] = []
+    for v in sorted(range(len(rows)), key=degree.__getitem__, reverse=True):
+        row = rows[v]
+        for i, c in enumerate(classes):
+            if not row & c:
+                classes[i] = c | 1 << v
+                break
+        else:
+            if len(classes) == t - 1:
+                return False
+            classes.append(1 << v)
+    return True
 
 
 def find_witness_any(host: Graph, n: int) -> Witness | ChainWitness | None:
@@ -611,8 +650,14 @@ def _find_induced_path(host: Graph, n: int) -> tuple[int, ...] | None:
     """First induced path with n edges, lowest start and extension first, or
     None; gives up after ``PATH_NODE_BUDGET`` search nodes.  Pattern vertex
     d is placed at depth d: adjacent to the next one, non-adjacent to the
-    later ones."""
-    flags = tuple(tuple(int(w == d + 1) for w in range(d + 1, n + 1)) for d in range(n + 1))
+    later ones.  The path's reversal maps its first vertex to its last, so
+    the last is flagged as the first one's orbit-mate and goes to a host
+    vertex above it: the search does not walk each path's reversal, and
+    keeps the first path (``find_induced_embedding``)."""
+    flags = tuple(
+        tuple(int(w == d + 1) | (d == 0 and w == n) << 1 for w in range(d + 1, n + 1))
+        for d in range(n + 1)
+    )
     chosen = _embed(host.rows, flags, [host.vertex_mask()] * (n + 1), PATH_NODE_BUDGET)
     return None if chosen is None else tuple(chosen)
 

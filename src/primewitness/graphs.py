@@ -156,6 +156,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 
 _HEADER = ">>graph6<<"
 _G6_MAX_N = (1 << 36) - 1
+# data char -> its six bits, most significant first
+_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 
 
 class Graph6Error(ValueError):
@@ -208,21 +210,20 @@ def parse_graph6(text: str) -> Graph:
     if len(s) - pos > nchars:
         raise Graph6Error("trailing garbage after graph data", pos + nchars)
 
-    rows = [0] * n
-    bit = 0
-    i, j = 0, 1
-    for k in range(nchars):
-        val = _g6_char(s, pos + k)
-        for shift in range(5, -1, -1):
-            if bit >= nbits:
-                break
-            if (val >> shift) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
+    # each data char becomes its six bits; a char outside the range stays
+    # one char, so the length tells whether some char is out of range
+    data = s[pos:].translate(_G6_BITS)
+    if len(data) != 6 * nchars:
+        for k in range(nchars):
+            _g6_char(s, pos + k)
+    # column j of the upper triangle starts at bit j(j-1)/2 and holds j's
+    # adjacency to 0..j-1; padded with zeros to n, the columns make the rows
+    # of an n x n square whose column v holds v's adjacency to v+1..n-1
+    square = "".join(data[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n))
+    rows = [
+        int((square[v * n:v * n + v + 1] + square[(v + 1) * n + v::n])[::-1], 2)
+        for v in range(n)
+    ]
     return Graph._trusted(n, rows)
 
 

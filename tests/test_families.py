@@ -446,6 +446,19 @@ def test_induced_path_deeper_than_the_recursion_limit():
     assert families._find_induced_path(Graph.path(n), n - 1) == tuple(range(n))
 
 
+def test_induced_path_reversal_cut_node_count(monkeypatch):
+    # the path's last vertex is the first one's orbit-mate, so a search
+    # that starts on v keeps only ends above v; the first path is the same,
+    # reached after 26 expansions instead of the 37 of the uncut search
+    host = random_graph(random.Random(53), 10, 0.3)
+    path = (6, 7, 5, 9, 8)
+    assert reference_induced_path(host, 4, families.PATH_NODE_BUDGET) == (path, True)
+    monkeypatch.setattr(families, "PATH_NODE_BUDGET", 26)
+    assert families._find_induced_path(host, 4) == path
+    monkeypatch.setattr(families, "PATH_NODE_BUDGET", 25)
+    assert families._find_induced_path(host, 4) is None
+
+
 def test_isomorphism_inputs_do_not_evict_compiled_patterns():
     # isomorphism inputs rarely recur, so they are compiled outside the
     # cache that keeps family patterns
@@ -640,3 +653,32 @@ def test_paley_17_is_cleared_by_two_clique_searches(monkeypatch):
         (Graph.empty(4), False),
         (Graph.complete(4), False),
     ]
+
+
+def test_greedy_colouring_certifies_only_clique_misses():
+    # a proper colouring with fewer than t colours leaves no K_t, and on the
+    # complement no E_t: the certificate never fires on a host that has
+    # one, and it settles some host at every t
+    rng = random.Random(89)
+    settled = dict.fromkeys(range(3, 9), 0)
+    for i in range(120):
+        t = 3 + i % 6
+        host = random_graph(rng, rng.randrange(5, 31), rng.uniform(0.1, 0.9))
+        for g, core in ((host, Graph.complete(t)), (complement(host), Graph.empty(t))):
+            if families._colours_fewer_than(g.rows, t):
+                assert not naive_induced_search(host, core), (host.rows, core)
+                settled[t] += 1
+    assert all(settled.values()), settled
+
+
+def test_colourings_clear_every_pattern_without_a_clique_search(monkeypatch):
+    # both greedy colourings of this G(22, 1/2) use at most six colours, so
+    # K_7 and E_7 miss with no search and every theorem pattern is skipped
+    host = random_graph(random.Random(30), 22, 0.5)
+    assert families._colours_fewer_than(host.rows, 7)
+    assert families._colours_fewer_than(complement(host).rows, 7)
+    ref = reference_witness_any(host, 7)
+    calls = _record_searches(monkeypatch, host, 7)
+    assert find_witness_any(host, 7) == ref
+    # no theorem pattern, K_7, E_7 or family core was searched
+    assert calls == []

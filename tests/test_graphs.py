@@ -13,7 +13,7 @@ from primewitness.graphs import (
     parse_graph6,
 )
 
-from util import all_graphs, random_graph
+from util import all_graphs, random_graph, reference_parse_graph6
 
 
 def test_constructor_rejects_bad_rows():
@@ -221,6 +221,45 @@ def test_graph6_errors_carry_offsets():
     with pytest.raises(Graph6Error) as e:
         parse_graph6("A\x1f")  # out-of-range character
     assert e.value.offset == 1
+
+
+def test_parse_graph6_matches_reference_decoder():
+    # the column decode returns the graph the bit-by-bit decoder returns,
+    # with and without the '>>graph6<<' header, under both vertex-count
+    # forms (n <= 62 and '~' with three chars), with random padding bits
+    rng = random.Random(41)
+    sizes = list(range(64)) + sorted(rng.randrange(64, 300) for _ in range(30)) + [300]
+    for n in sizes:
+        text = emit_graph6(random_graph(rng, n, rng.choice([0.1, 0.5, 0.9])))
+        pad = -(n * (n - 1) // 2) % 6
+        text = text[:-1] + chr(ord(text[-1]) + rng.randrange(1 << pad))
+        for t in (text, ">>graph6<<" + text):
+            assert parse_graph6(t) == reference_parse_graph6(t), (n, t)
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except Graph6Error as e:
+        return str(e), e.offset
+
+
+def test_parse_graph6_errors_match_reference_decoder():
+    # one char of a valid token replaced, dropped or added: both decoders
+    # return the same graph or raise the same message at the same offset
+    rng = random.Random(42)
+    alphabet = [chr(c) for c in range(32, 128)]
+    for _ in range(1000):
+        n = rng.choice([rng.randrange(8), rng.randrange(60, 70)])
+        text = emit_graph6(random_graph(rng, n))
+        k = rng.randrange(len(text))
+        text = rng.choice([
+            text[:k] + rng.choice(alphabet) + text[k + 1:],
+            text[:k] + text[k + 1:],
+            text[:k] + rng.choice(alphabet) + text[k:],
+        ])
+        expected = _parse_outcome(reference_parse_graph6, text)
+        assert _parse_outcome(parse_graph6, text) == expected, text
 
 
 def test_graph6_exhaustive_small():

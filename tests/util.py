@@ -9,8 +9,9 @@ closure scan), ``find_chain`` (per-vertex auxiliary-digraph search),
 cut), the induced-path search (the hand-written path search with its node
 budget), ``find_witness_any`` (every theorem pattern searched in turn) and
 the prime-chain search from one seed pair (parents built for every pair)
-must agree with.  Graph sampling and exhaustive enumeration are the
-library's oracles, re-exported here."""
+and ``parse_graph6`` (one step per data bit) must agree with.  Graph
+sampling and exhaustive enumeration are the library's oracles, re-exported
+here."""
 
 from __future__ import annotations
 
@@ -18,7 +19,9 @@ import itertools
 import random
 from collections import deque
 
-from primewitness.graphs import Graph, bits, mask_of
+from primewitness.graphs import (
+    _G6_MAX_N, _HEADER, Graph, Graph6Error, _g6_char, bits, mask_of,
+)
 from primewitness.oracles import all_graphs, random_graph  # noqa: F401 (re-exported)
 
 
@@ -406,6 +409,59 @@ def reference_prime_chain_from_pair(host: Graph, u: int, v: int, n: int) -> tupl
         if chains.chain_induces_prime(host, seq):
             return tuple(seq)
     return None
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """Reference for ``parse_graph6``: the decoder it replaced, one step per
+    data bit.  Both must return the same graph, or raise the same error at
+    the same offset."""
+    s = text.strip()
+    if s.startswith(_HEADER):
+        s = s[len(_HEADER):]
+    if not s:
+        raise Graph6Error("empty input", 0)
+    first = _g6_char(s, 0)
+    if first < 63:
+        n = first
+        pos = 1
+    elif _g6_char(s, 1) < 63:
+        n = 0
+        for i in range(1, 4):
+            n = (n << 6) | _g6_char(s, i)
+        pos = 4
+    else:
+        n = 0
+        for i in range(2, 8):
+            n = (n << 6) | _g6_char(s, i)
+        pos = 8
+    if n > _G6_MAX_N:
+        raise Graph6Error(f"vertex count {n} exceeds graph6 limit", 0)
+
+    nbits = n * (n - 1) // 2
+    nchars = (nbits + 5) // 6
+    if len(s) - pos < nchars:
+        raise Graph6Error(
+            f"expected {nchars} data characters, found {len(s) - pos}", len(s)
+        )
+    if len(s) - pos > nchars:
+        raise Graph6Error("trailing garbage after graph data", pos + nchars)
+
+    rows = [0] * n
+    bit = 0
+    i, j = 0, 1
+    for k in range(nchars):
+        val = _g6_char(s, pos + k)
+        for shift in range(5, -1, -1):
+            if bit >= nbits:
+                break
+            if (val >> shift) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            bit += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
+    return Graph(n, rows)
 
 
 def check_regular_triple(g: Graph, t) -> bool:
