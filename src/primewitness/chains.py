@@ -6,9 +6,11 @@ predecessor is its unique neighbor or its unique non-neighbor among all
 predecessors; its length is its number of steps, one less than its vertices.
 Chains certify primeness reachability: a chain from a two-vertex set I to v
 exists exactly when no homogeneous set contains I while excluding v.  The
-search takes a shortest path in the auxiliary digraph of that equivalence's
-constructive proof, read off the parents of ``homogeneous._reach``, the same
-breadth-first search that computes seeded closures.
+search takes the lexicographically least shortest path in the auxiliary
+digraph of that equivalence's constructive proof, read off the levels of
+``homogeneous._reach``, the same breadth-first search that computes seeded
+closures: a backward pass keeps the vertices of each level with a path to
+the target, and a forward pass takes the lowest of them at each level.
 """
 
 from __future__ import annotations
@@ -56,14 +58,31 @@ def validate_chain(
     return True, None
 
 
-def _chain_from_parents(
-    g: Graph, imask: int, parent: dict[int, int | None], target: int
+def _chain_from_levels(
+    g: Graph, imask: int, complete: int, levels: Sequence[int], target: int
 ) -> tuple[int, ...]:
+    """The chain from I to ``target``, a vertex of the last of ``levels``,
+    read off ``_reach``'s search: the lexicographically least shortest path
+    to the target, after the lowest neighbor and the lowest non-neighbor in
+    I of its first vertex."""
     rows = g.rows
-    path = [target]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
+    # backward: the vertices of each level with a path to the target; the
+    # predecessors of y are its neighbors, or its non-neighbors when y is
+    # complete to I
+    ahead = [1 << target]
+    for level in reversed(levels[:-1]):
+        preds = 0
+        for y in bits(ahead[-1]):
+            preds |= ~rows[y] if (complete >> y) & 1 else rows[y]
+        ahead.append(level & preds)
+    # forward: at each level the lowest of them the path so far reaches
+    path = []
+    succ = -1
+    for good in reversed(ahead):
+        good &= succ
+        x = (good & -good).bit_length() - 1
+        path.append(x)
+        succ = rows[x] ^ complete
     w1 = path[0]
     neighbors = rows[w1] & imask
     non_neighbors = imask & ~rows[w1]
@@ -79,10 +98,10 @@ def find_chain(g: Graph, source_set: Iterable[int], target: int) -> tuple[int, .
     """Shortest chain from ``source_set`` to ``target``, or None.
 
     None is returned exactly when some homogeneous set contains the source
-    set but not the target.  Construction: take a shortest root-to-target
-    path in the auxiliary digraph (breadth-first, lowest vertex index first)
-    and prepend the lowest-index neighbor and non-neighbor of its first
-    vertex in I.
+    set but not the target.  Otherwise the chain is the lexicographically
+    least shortest path to the target in the auxiliary digraph, after the
+    lowest-index neighbor and the lowest-index non-neighbor in I of its
+    first vertex.
     """
     imask = mask_of(source_set)
     if imask.bit_count() < 2:
@@ -94,10 +113,11 @@ def find_chain(g: Graph, source_set: Iterable[int], target: int) -> tuple[int, .
     if (imask >> target) & 1:
         raise ValueError("target must lie outside the source set")
 
-    parent: dict[int, int | None] = {}
-    if not (_reach(g, imask, parent) >> target) & 1:
-        return None
-    return _chain_from_parents(g, imask, parent, target)
+    complete, levels = _reach(g, imask)
+    for k, level in enumerate(levels):
+        if (level >> target) & 1:
+            return _chain_from_levels(g, imask, complete, levels[:k + 1], target)
+    return None
 
 
 def chain_induces_prime(g: Graph, seq: Sequence[int]) -> bool:

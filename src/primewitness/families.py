@@ -607,10 +607,10 @@ def find_witness_any(host: Graph, n: int) -> Witness | ChainWitness | None:
 
 
 # find_prime_chain tries every seed pair on hosts of up to ALL_PAIRS_MAX_N
-# vertices and the first PAIR_CAP pairs on larger ones, building the chain
-# search's parents only for a pair whose search reaches n - 1 levels; the
-# induced-path search gives up after PATH_NODE_BUDGET search nodes.  Outputs
-# depend on all three.  The budget counts ``_embed``'s expansions.
+# vertices and the first PAIR_CAP pairs on larger ones, reading chains only
+# from a pair whose search reaches n - 1 levels; the induced-path search
+# gives up after PATH_NODE_BUDGET search nodes, counted as ``_embed``'s
+# expansions.  Outputs depend on all three.
 ALL_PAIRS_MAX_N = 64
 PAIR_CAP = 512
 PATH_NODE_BUDGET = 200_000
@@ -622,12 +622,11 @@ def find_prime_chain(host: Graph, n: int) -> tuple[int, ...] | None:
     First looks for an induced path with n edges (the simplest prime chain),
     then runs the constructive chain search from vertex pairs in
     lexicographic order, walking targets farthest-first and trimming longer
-    chains down to length n (trims preserve prime induction).  A pair's
-    search levels are counted on masks first, and its parents are built
-    only when it reaches n - 1 levels, the depth a chain of length n needs.
-    Greedy, not exhaustive: a None is not a proof of absence.  Hosts of
-    more than ``ALL_PAIRS_MAX_N`` vertices try only the first ``PAIR_CAP``
-    seed pairs.
+    chains down to length n (trims preserve prime induction).  Chains are
+    read off a pair's breadth-first levels only when it reaches n - 1 of
+    them, the depth a chain of length n needs.  Greedy, not exhaustive: a
+    None is not a proof of absence.  Hosts of more than ``ALL_PAIRS_MAX_N``
+    vertices try only the first ``PAIR_CAP`` seed pairs.
     """
     if n < 3:
         raise ValueError("outcome size must be at least 3")
@@ -668,33 +667,16 @@ def _prime_chain_from_pair(host: Graph, u: int, v: int, n: int) -> tuple[int, ..
     The chain to a vertex at depth d of ``_reach``'s breadth-first search
     has length d + 1, so the targets are the vertices of depth at least
     n - 1, walked deepest level first and each level in ascending index;
-    chains longer than n are trimmed.  The levels come from a pass over
-    masks alone (level 1 is the set mixed on the pair, each later one what
-    the previous level reaches), so a pair whose search has fewer than
-    n - 1 levels returns None before any parent is built."""
-    rows = host.rows
+    each chain is read off the search's levels, and chains longer than n
+    are trimmed.  A pair whose search has fewer than n - 1 levels returns
+    None before any chain is read."""
     imask = (1 << u) | (1 << v)
-    outside = host.vertex_mask() & ~imask
-    complete = outside & rows[u] & rows[v]
-    level = (rows[u] | rows[v]) & outside & ~complete
-    unseen = outside & ~level
-    levels = [level]
-    while unseen:
-        reached = 0
-        for x in bits(level):
-            reached |= rows[x] ^ complete
-        level = unseen & reached
-        if not level:
-            break
-        levels.append(level)
-        unseen ^= level
+    complete, levels = _reach(host, imask)
     if len(levels) < n - 1:
         return None
-    parent: dict[int, int | None] = {}
-    _reach(host, imask, parent)
-    for level in reversed(levels[n - 2:]):
-        for t in bits(level):
-            seq = chains._chain_from_parents(host, imask, parent, t)
+    for k in reversed(range(n - 2, len(levels))):
+        for t in bits(levels[k]):
+            seq = chains._chain_from_levels(host, imask, complete, levels[:k + 1], t)
             while len(seq) - 1 > n:
                 seq = chains.trim_chain_to_prime(host, seq)
             if chains._induces_prime(host, seq):

@@ -6,9 +6,9 @@ The workhorse is the seeded closure: the smallest set containing a given
 vertex pair that no outside vertex is mixed on.  The closure is the unique
 minimal candidate containing that pair, so a graph is prime exactly when
 every pair closes to the whole vertex set.  One bitset breadth-first search,
-``_reach``, computes it: what it adds to a seed I is what the auxiliary
-digraph of the chain lemma reaches from I, and ``chains.find_chain`` reads
-its chains off the same search's parents.
+``_reach``, computes it level by level: what it adds to a seed I is what the
+auxiliary digraph of the chain lemma reaches from I, and ``chains`` reads
+its chains off the same search's levels.
 
 One search answers both questions.  ``find_homogeneous_set`` returns the
 closure of the lexicographically least pair that closes to a proper set, a
@@ -19,21 +19,20 @@ coming back empty.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 
 from .graphs import Graph, bits
 
 
-def _reach(g: Graph, imask: int, parent: dict[int, int | None] | None = None) -> int:
-    """The vertices outside ``imask`` that the auxiliary digraph reaches.
+def _reach(g: Graph, imask: int) -> tuple[int, list[int]]:
+    """The outside vertices complete to ``imask``, and the breadth-first
+    levels, as bitmasks, of the auxiliary digraph's search from I.
 
     Arcs run from I to every vertex mixed on I, and from x to y when y is
-    unmixed on I but mixed on I+{x}.  These are the vertices the seeded
-    closure absorbs, and by the chain lemma the targets of chains from I.
-    The search is breadth-first, each vertex's successors queued lowest
-    index first; a ``parent`` dict given by the caller receives every
-    reached vertex in queue order with the vertex that reached it (None for
-    the vertices mixed on I), so parents encode deterministic shortest paths.
+    unmixed on I but mixed on I+{x}.  Level 1 is the set mixed on I and each
+    later level what the previous one reaches for the first time; together
+    they are the vertices the seeded closure absorbs, and by the chain lemma
+    the targets of chains from I, a vertex of level d at the end of a chain
+    of length d + 1.  The search stops once no outside vertex is unseen.
     """
     rows = g.rows
     outside = g.vertex_mask() & ~imask
@@ -42,32 +41,30 @@ def _reach(g: Graph, imask: int, parent: dict[int, int | None] | None = None) ->
     for v in bits(imask):
         union |= rows[v]
         complete &= rows[v]
-    mixed = union & outside & ~complete
+    level = union & outside & ~complete
     # an unmixed y is reached from x when x~y differs from y's view of I,
     # which is complete's bit at y
-    unseen = outside & ~mixed
-    queue = deque(bits(mixed))
-    if parent is not None:
-        parent.update(dict.fromkeys(queue))
-    while queue and unseen:
-        x = queue.popleft()
-        new = unseen & (rows[x] ^ complete)
-        if new:
-            unseen ^= new
-            if parent is None:
-                queue.extend(bits(new))
-            else:
-                for y in bits(new):
-                    parent[y] = x
-                    queue.append(y)
-    return outside ^ unseen
+    unseen = outside
+    levels = []
+    while level:
+        levels.append(level)
+        unseen ^= level
+        if not unseen:
+            break
+        reached = 0
+        for x in bits(level):
+            reached |= rows[x] ^ complete
+        level = unseen & reached
+    return complete, levels
 
 
 def closure(g: Graph, seed_mask: int) -> int:
     """The minimal homogeneous-candidate set containing ``seed_mask``: no
     outside vertex is mixed on it.  A proper result is a homogeneous set;
     the full vertex set means none contains the seed."""
-    return seed_mask | _reach(g, seed_mask)
+    for level in _reach(g, seed_mask)[1]:
+        seed_mask |= level
+    return seed_mask
 
 
 def find_homogeneous_set(g: Graph) -> frozenset[int] | None:

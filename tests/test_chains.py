@@ -130,12 +130,15 @@ def test_find_chain_matches_reference_parents():
     found = missing = 0
     for _ in range(120):
         g = random_graph(rng, rng.randrange(2, 13), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
-        for pair in itertools.combinations(range(g.n), 2):
+        sources = itertools.chain.from_iterable(
+            itertools.combinations(range(g.n), k) for k in (2, 3, 4)
+        )
+        for source in sources:
             for target in range(g.n):
-                if target in pair:
+                if target in source:
                     continue
-                chain = find_chain(g, pair, target)
-                assert chain == reference_chain(g, pair, target), (g.rows, pair, target)
+                chain = find_chain(g, source, target)
+                assert chain == reference_chain(g, source, target), (g.rows, source, target)
                 if chain is None:
                     missing += 1
                 else:

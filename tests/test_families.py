@@ -377,29 +377,29 @@ def test_pair_chain_search_at_the_level_boundary():
         assert families._prime_chain_from_pair(Graph.path(n), 0, 1, n) is None
 
 
-def test_shallow_pairs_build_no_parents(monkeypatch):
+def test_shallow_pairs_read_no_chains(monkeypatch):
     # a witness-exhaust-sized host with no induced P8 and no pair whose
-    # search reaches 6 levels: the pair phase runs but never calls _reach
-    calls = {"reach": 0, "pair": 0}
-    reach, pair = families._reach, families._prime_chain_from_pair
+    # search reaches 6 levels: the pair phase runs but reads no chain
+    calls = {"read": 0, "pair": 0}
+    read, pair = families.chains._chain_from_levels, families._prime_chain_from_pair
 
-    def counting_reach(*args):
-        calls["reach"] += 1
-        return reach(*args)
+    def counting_read(*args):
+        calls["read"] += 1
+        return read(*args)
 
     def counting_pair(*args):
         calls["pair"] += 1
         return pair(*args)
 
-    monkeypatch.setattr(families, "_reach", counting_reach)
+    monkeypatch.setattr(families.chains, "_chain_from_levels", counting_read)
     monkeypatch.setattr(families, "_prime_chain_from_pair", counting_pair)
     host = random_graph(random.Random(14), 22, 0.5)
     assert families._find_induced_path(host, 7) is None
     assert find_prime_chain(host, 7) is None
-    assert calls == {"reach": 0, "pair": 231}
-    # a deep pair does build them: the seed-pair chain of the complement of P9
+    assert calls == {"read": 0, "pair": 231}
+    # a deep pair does read them: the seed-pair chain of the complement of P9
     assert find_prime_chain(complement(Graph.path(9)), 5) is not None
-    assert calls["reach"] > 0
+    assert calls["read"] > 0
 
 
 def test_prime_chain_search_rejects_outcome_size_below_three():

@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from primewitness.families import Family, FamilyId, generate
 from primewitness.graphs import Graph, complement, mask_of
-from primewitness.homogeneous import closure, find_homogeneous_set, is_prime
+from primewitness.homogeneous import _reach, closure, find_homogeneous_set, is_prime
 from primewitness.oracles import brute_force_homogeneous, is_homogeneous_set
 
-from util import all_graphs, lex_first_closure, random_graph, reference_closure, substitute
+from util import (
+    all_graphs, lex_first_closure, random_graph, reference_closure, reference_depths, substitute,
+)
 
 
 def test_cycle4_homogeneous_sets():
@@ -94,6 +97,28 @@ def test_closure_matches_round_based_reference():
         for size in range(n + 1):
             seed = mask_of(rng.sample(range(n), size))
             assert closure(g, seed) == reference_closure(g, seed), (g.rows, seed)
+
+
+def test_reach_levels_are_the_reference_depth_classes():
+    # the closure and both chain readers rely on exact levels: level d holds
+    # the vertices at depth d of the per-vertex auxiliary-digraph search
+    rng = random.Random(22)
+    cases = 0
+    for _ in range(300):
+        n = rng.randrange(3, 16)
+        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        for size in (2, 3):
+            for seed in itertools.combinations(range(n), size):
+                imask = mask_of(seed)
+                depth = reference_depths(g, imask)
+                expected = [0] * max(depth.values(), default=0)
+                for t, d in depth.items():
+                    expected[d - 1] |= 1 << t
+                outside = [w for w in range(n) if w not in seed]
+                complete = mask_of(w for w in outside if all(g.adjacent(w, v) for v in seed))
+                assert _reach(g, imask) == (complete, expected), (g.rows, seed)
+                cases += 1
+    assert cases > 50_000
 
 
 def test_complement_invariance():

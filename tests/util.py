@@ -8,10 +8,10 @@ closure scan), ``find_chain`` (per-vertex auxiliary-digraph search),
 ``find_induced_embedding`` (plain backtracking, with no all-different
 cut), the induced-path search (the hand-written path search with its node
 budget), ``find_witness_any`` (every theorem pattern searched in turn) and
-the prime-chain search from one seed pair (parents built for every pair)
-and ``parse_graph6`` (one step per data bit) must agree with.  Graph
-sampling and exhaustive enumeration are the library's oracles, re-exported
-here."""
+the prime-chain search from one seed pair (the per-vertex search's
+depths and chains) and ``parse_graph6`` (one step per data bit) must agree
+with.  Graph sampling and exhaustive enumeration are the library's oracles,
+re-exported here."""
 
 from __future__ import annotations
 
@@ -167,6 +167,16 @@ def reference_aux_parents(g: Graph, imask: int) -> dict[int, int | None]:
                 newly |= 1 << y
         unseen &= ~newly
     return parent
+
+
+def reference_depths(g: Graph, imask: int) -> dict[int, int]:
+    """Each vertex ``reference_aux_parents`` reaches, with its depth: 1 for
+    the vertices mixed on I, one more than its parent's for the others."""
+    depth: dict[int, int] = {}
+    # parents come in BFS order, so each vertex's parent comes before it
+    for t, p in reference_aux_parents(g, imask).items():
+        depth[t] = 1 if p is None else depth[p] + 1
+    return depth
 
 
 def reference_chain(g: Graph, source: tuple[int, ...], target: int) -> tuple[int, ...] | None:
@@ -387,23 +397,17 @@ def reference_witness_any(host: Graph, n: int):
 
 
 def reference_prime_chain_from_pair(host: Graph, u: int, v: int, n: int) -> tuple[int, ...] | None:
-    """Reference for ``families._prime_chain_from_pair``: build the search's
-    parents for every pair, take each reached vertex's depth from them, and
-    walk the targets of depth at least n - 1 sorted by (-depth, index),
-    trimming longer chains to length n.  Both must return the same chain."""
+    """Reference for ``families._prime_chain_from_pair``: take each reached
+    vertex's depth from ``reference_depths``, walk the targets of depth
+    at least n - 1 sorted by (-depth, index), read each chain with
+    ``reference_chain`` and trim longer chains to length n.  Both must
+    return the same chain."""
     from primewitness import chains
-    from primewitness.homogeneous import _reach
 
-    imask = (1 << u) | (1 << v)
-    parent: dict[int, int | None] = {}
-    _reach(host, imask, parent)
-    # parent is in BFS order, so each vertex's parent comes before it
-    depth: dict[int, int] = {}
-    for t, p in parent.items():
-        depth[t] = 1 if p is None else depth[p] + 1
+    depth = reference_depths(host, (1 << u) | (1 << v))
     targets = sorted((t for t, d in depth.items() if d + 1 >= n), key=lambda t: (-depth[t], t))
     for t in targets:
-        seq = chains._chain_from_parents(host, imask, parent, t)
+        seq = reference_chain(host, (u, v), t)
         while len(seq) - 1 > n:
             seq = chains.trim_chain_to_prime(host, seq)
         if chains.chain_induces_prime(host, seq):
